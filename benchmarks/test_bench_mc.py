@@ -61,10 +61,8 @@ def update_bench_json(section: str, payload: dict) -> None:
         "synthesis",
         "moesi",
         "german",
-        "por",
         "telemetry",
         "packed",
-        "family",
     )
     data = {k: v for k, v in data.items() if k in sections}
     data[section] = payload
@@ -220,141 +218,6 @@ def test_german_workload(benchmark):
     payload = _workload_payload(build_german_system, "german-small", benchmark)
     update_bench_json("german", payload)
     benchmark.extra_info.update(payload)
-
-
-def test_por_reduction(benchmark):
-    """Partial-order reduction on/off: states visited and wall-clock.
-
-    Single-threaded rows only (no cpu_count gating).  The POR runs share
-    one system per workload so the one-time footprint probe is amortised
-    the way a synthesis run (or any repeated checking of one system)
-    amortises it; the recorded seconds *include* that probe.
-
-    Honesty note: with symmetry reduction already folding replica
-    permutations, POR's remaining win at catalog sizes is measured at
-    ~9-22% of states depending on the protocol (MOESI/MESI/German reduce
-    best; MSI's directory-collected invalidation acks serialise its
-    replicas and leave only a few percent at 3 caches).  The ISSUE's
-    aspirational >= 30% did not survive contact with the measurements;
-    the floors asserted below are the deterministic measured values with
-    a safety margin.
-    """
-    from repro.core.engine import SynthesisObserver
-    from repro.mc.kernel import make_explorer
-    from repro.protocols.catalog import PROTOCOL_BUILDERS
-
-    por_repeats = 3
-    verify_rows = []
-    for name, replicas in (("msi", 2), ("mesi", 2), ("moesi", 2), ("german", 2)):
-        builder = PROTOCOL_BUILDERS[name]
-
-        # Both sides share one system across repeats so the orbit cache
-        # is equally warm; the timing isolates POR itself (probe included).
-        off_system = builder(replicas)
-        start = time.perf_counter()
-        for _ in range(por_repeats):
-            off = make_explorer("bfs", off_system).run()
-        off_seconds = time.perf_counter() - start
-
-        shared = builder(replicas)
-        start = time.perf_counter()
-        for _ in range(por_repeats):
-            on = make_explorer("bfs", shared, partial_order=True).run()
-        on_seconds = time.perf_counter() - start
-
-        assert off.verdict is Verdict.SUCCESS
-        assert on.verdict is Verdict.SUCCESS
-        assert on.stats.states_visited <= off.stats.states_visited
-        reduction = 1.0 - on.stats.states_visited / off.stats.states_visited
-        verify_rows.append(
-            {
-                "protocol": name,
-                "replicas": replicas,
-                "states_off": off.stats.states_visited,
-                "states_on": on.stats.states_visited,
-                "states_reduction": round(reduction, 4),
-                "seconds_off": round(off_seconds, 4),
-                "seconds_on_incl_probe": round(on_seconds, 4),
-                "ample_states": on.stats.ample_states,
-                "rules_deferred": on.stats.por_rules_skipped,
-            }
-        )
-
-    class StateTotal(SynthesisObserver):
-        """Sums states visited across every dispatched candidate run."""
-
-        def __init__(self):
-            self.states = 0
-
-        def on_run(self, run_index, vector, result, holes):
-            self.states += result.stats.states_visited
-
-    synth_rows = []
-    for skeleton_name in ("moesi-small", "german-small"):
-        off_total = StateTotal()
-        start = time.perf_counter()
-        off_report = SynthesisEngine(
-            build_skeleton(skeleton_name),
-            SynthesisConfig(partial_order=False),
-            off_total,
-        ).run()
-        off_seconds = time.perf_counter() - start
-
-        on_total = StateTotal()
-        start = time.perf_counter()
-        on_report = SynthesisEngine(
-            build_skeleton(skeleton_name),
-            SynthesisConfig(partial_order=True),
-            on_total,
-        ).run()
-        on_seconds = time.perf_counter() - start
-
-        assert sorted(
-            frozenset(s.assignment) for s in on_report.solutions
-        ) == sorted(frozenset(s.assignment) for s in off_report.solutions)
-        assert on_total.states <= off_total.states
-        synth_rows.append(
-            {
-                "skeleton": skeleton_name,
-                "replicas": 2,
-                "solutions": len(on_report.solutions),
-                "candidate_states_off": off_total.states,
-                "candidate_states_on": on_total.states,
-                "states_reduction": round(
-                    1.0 - on_total.states / off_total.states, 4
-                ),
-                "seconds_off": round(off_seconds, 4),
-                "seconds_on_incl_probe": round(on_seconds, 4),
-                "rules_deferred": on_report.por_rules_skipped,
-            }
-        )
-
-    payload = {
-        "repeats": por_repeats,
-        "verify": verify_rows,
-        "synthesis": synth_rows,
-    }
-    update_bench_json("por", payload)
-    by_name = {row["protocol"]: row["states_reduction"] for row in verify_rows}
-    sys.__stdout__.write(
-        "\nBENCH_mc.json updated: POR states reduction "
-        + ", ".join(f"{k} {v:.1%}" for k, v in by_name.items())
-        + "\n"
-    )
-    sys.__stdout__.flush()
-    benchmark.extra_info.update(payload)
-
-    # Deterministic state counts -> tight-but-safe floors.
-    assert by_name["moesi"] >= 0.15
-    assert by_name["mesi"] >= 0.10
-    assert by_name["german"] >= 0.10
-    assert by_name["msi"] >= 0.08
-    # Candidate checks are dominated by failing completions that die on a
-    # short counterexample before much interleaving exists, so synthesis
-    # reduction is small-but-real; verify-style repeated checking of a
-    # correct system is where POR earns its keep.
-    for row in synth_rows:
-        assert row["states_reduction"] >= 0.01, row
 
 
 def test_packed_kernel_speedup(benchmark):
@@ -547,97 +410,6 @@ def test_telemetry_overhead(benchmark, tmp_path):
     # Tracing every span/phase of a sub-second check is allowed to cost
     # real percentage points; it must not multiply the run.
     assert on_seconds < off_seconds * 2.0
-
-
-def test_family_scheduler_workload(benchmark):
-    """Family-based synthesis on/off: checks dispatched and wall-clock.
-
-    Single-threaded sequential rows, so they are meaningful on a 1-CPU
-    container.  Correctness gates the measurement: both schedulers must
-    find the identical solution set.
-
-    Honesty note: under the kernel's wildcard-cut semantics, conflict
-    generalisation already prunes 1-by-1 everything a family FAILURE
-    verdict prunes (both derive from the same trace-replay certificate),
-    so family mode does *not* reduce check counts on fine-grained
-    workloads — on MSI-small it performs ~1.3x the reference's checks
-    and the recorded row says so.  What it buys is coverage per check
-    (``family_candidates_avoided``: members settled by a terminal
-    quotient verdict without their own run), which dominates on
-    coarse-structured spaces like the eviction skeleton.  The floors
-    below guard exactly that shape: real avoidance on msi-evict, and a
-    bounded quotient-to-reference ratio so a broken split heuristic
-    (which would explode interior checks) fails the bench.
-    """
-    targets = ["msi-evict"]
-    if small_enabled():
-        targets.append("msi-small")
-
-    rows = []
-    for index, skeleton_name in enumerate(targets):
-        without = SynthesisEngine(
-            build_skeleton(skeleton_name), SynthesisConfig()
-        ).run()
-
-        def family_run(name=skeleton_name):
-            return SynthesisEngine(
-                build_skeleton(name), SynthesisConfig(family=True)
-            ).run()
-
-        with_family = run_once(benchmark, family_run) if index == 0 else family_run()
-
-        # Correctness before counts: identical solution sets.
-        def view(report):
-            return sorted(
-                tuple(sorted(s.assignment)) for s in report.solutions
-            )
-
-        assert view(with_family) == view(without)
-        assert with_family.family and not without.family
-
-        rows.append(
-            {
-                "skeleton": skeleton_name,
-                "replicas": 2,
-                "solutions": len(without.solutions),
-                "evaluated_without": without.evaluated,
-                "seconds_without": round(without.elapsed_seconds, 3),
-                "evaluated_with": with_family.evaluated,
-                "seconds_with": round(with_family.elapsed_seconds, 3),
-                "family_checked": with_family.family_checked,
-                "family_splits": with_family.family_splits,
-                "family_max_split_depth": with_family.family_max_split_depth,
-                "family_candidates_avoided": (
-                    with_family.family_candidates_avoided
-                ),
-                "quotient_ratio": round(
-                    with_family.evaluated / without.evaluated, 3
-                ),
-            }
-        )
-
-    payload = {"rows": rows}
-    update_bench_json("family", payload)
-    sys.__stdout__.write(
-        "\nBENCH_mc.json updated: family scheduler "
-        + ", ".join(
-            f"{row['skeleton']} {row['evaluated_without']} -> "
-            f"{row['evaluated_with']} checks "
-            f"({row['family_candidates_avoided']} avoided)"
-            for row in rows
-        )
-        + "\n"
-    )
-    sys.__stdout__.flush()
-    benchmark.extra_info.update(payload)
-
-    by_name = {row["skeleton"]: row for row in rows}
-    # Measured 1,155 avoided on the dev container; wide floor for noise
-    # in pattern-arrival order.
-    assert by_name["msi-evict"]["family_candidates_avoided"] >= 500
-    # Measured ratios ~1.27 (msi-evict) and ~1.29 (msi-small).
-    for row in rows:
-        assert row["quotient_ratio"] <= 2.0, row
 
 
 @pytest.mark.skipif(not small_enabled(), reason="VERC3_BENCH_SMALL=0")

@@ -83,25 +83,10 @@ class SynthesisReport:
     prefix_cache_hits: int = 0
     prefix_cache_builds: int = 0
     prefix_states_reused: int = 0
-    #: partial-order reduction (see repro.mc.footprint): whether candidate
-    #: runs used it, enabled firings deferred, reduced expansions
-    partial_order: bool = False
-    por_rules_skipped: int = 0
-    ample_states: int = 0
     #: packed-state kernel (see repro.mc.packed): whether candidate runs
     #: were asked to use the fixed-layout encoding (systems without a
     #: codec spec fall back to the object path silently)
     packed: bool = False
-    #: family-based synthesis (see repro.core.family): whether the run
-    #: scheduled hole families instead of flat candidates, how many
-    #: family quotients were model checked, how many ambiguous families
-    #: split, the deepest split chain, and how many per-candidate checks
-    #: the family verdicts avoided
-    family: bool = False
-    family_checked: int = 0
-    family_splits: int = 0
-    family_max_split_depth: int = 0
-    family_candidates_avoided: int = 0
     #: largest visited-state count of any single candidate run — the
     #: run's memory high-water mark (surfaced in the matrix journal)
     peak_states: int = 0
@@ -203,21 +188,8 @@ class SynthesisReport:
             f"solutions:         {len(self.solutions)}",
             f"elapsed:           {self.elapsed_seconds:.3f}s",
         ]
-        if self.partial_order:
-            lines.insert(
-                -1,
-                f"partial order:     {self.por_rules_skipped:,} firings "
-                f"deferred at {self.ample_states:,} reduced states",
-            )
         if self.packed:
             lines.insert(-1, "packed kernel:     on")
-        if self.family:
-            lines.insert(
-                -1,
-                f"family synthesis:  {self.family_checked:,} quotients checked, "
-                f"{self.family_splits:,} splits (depth {self.family_max_split_depth}), "
-                f"{self.family_candidates_avoided:,} checks avoided",
-            )
         if self.store_enabled:
             lines.insert(
                 -1,

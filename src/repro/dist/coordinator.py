@@ -12,8 +12,7 @@ Design points:
 
 * **Work stealing beats static splitting.**  Each pass is cut into
   roughly ``workers x batches_per_worker`` shard-aligned ranges
-  (:func:`repro.core.family.plan_family_shards` is the shard unit in both
-  1-by-1 and family mode) and the batches go on **one shared task queue**
+  (:func:`plan_shard_batches`) and the batches go on **one shared task queue**
   every worker pulls from; a worker that drew cheap (heavily pruned)
   ranges immediately steals the next pending batch instead of idling
   behind a fixed assignment (the thread backend's static split suffers
@@ -70,7 +69,6 @@ from repro.core.engine import (
     _StopSynthesis,
     resolve_telemetry,
 )
-from repro.core.family import plan_family_shards
 from repro.core.pruning import PruningPattern
 from repro.core.report import SynthesisReport
 from repro.dist.messages import (
@@ -86,6 +84,7 @@ from repro.dist.messages import (
 from repro.dist.worker import worker_main
 from repro.errors import SynthesisError
 from repro.obs import Telemetry
+from repro.util.itertools2 import product_size
 from repro.util.timing import Stopwatch
 
 #: Safety net: a worker silent for this long with no live process is fatal.
@@ -122,31 +121,26 @@ def plan_shard_batches(
 ) -> List[Tuple[int, int]]:
     """Cut the candidate index space into *shard-aligned* dispatch batches.
 
-    Family shards (:func:`repro.core.family.plan_family_shards`) are
-    contiguous ascending blocks of the lexicographic candidate order, so
-    projecting them onto index ranges and coalescing consecutive ranges
-    up to the :func:`plan_batches` size floor yields batches with the
-    same count/size guarantees whose boundaries also respect shard
-    boundaries — the shard unit is then identical between 1-by-1 and
-    family passes, and a future shard-granular scheduler can reuse the
-    plan unchanged.
+    A shard is the block of candidates sharing one assignment of the
+    leading holes: with the most significant hole first, fixing the
+    shortest prefix of holes whose product reaches ``workers x
+    batches_per_worker`` cuts the lexicographic order into contiguous
+    blocks of ``prod(radices[k:])`` candidates.  Whole blocks are then
+    coalesced up to the :func:`plan_batches` size floor, so batches keep
+    its count/size guarantees while every boundary falls on a shard
+    boundary.
     """
     target = max(1, workers * batches_per_worker)
-    shards = plan_family_shards(radices, target)
-    total = sum(shard.size for shard in shards)
-    if total <= 0:
-        return []
+    total = product_size(radices)
+    shards, block = 1, total
+    for radix in radices:
+        if shards >= target:
+            break
+        shards *= radix
+        block //= radix
     floor = max(min_batch_size, -(-total // target))
-    batches: List[Tuple[int, int]] = []
-    start = position = 0
-    for shard in shards:
-        position += shard.size
-        if position - start >= floor:
-            batches.append((start, position))
-            start = position
-    if position > start:
-        batches.append((start, position))
-    return batches
+    size = -(-floor // block) * block
+    return [(start, min(start + size, total)) for start in range(0, total, size)]
 
 
 class DistributedSynthesisEngine:
@@ -372,27 +366,10 @@ class DistributedSynthesisEngine:
         core = self.core
         config = self.config
         radices = [hole.arity for hole in holes]
-        family_mode = config.family_active
-        if family_mode:
-            # The shared worklist cannot cross process boundaries, so the
-            # root family is pre-split into deterministic shards and each
-            # batch covers a contiguous slice of the shard list (workers
-            # run a local worklist per shard).  Shards are uneven in cost
-            # by construction, which is exactly what work-stealing-style
-            # batch dispatch is for — hence min_batch_size=1.
-            shards = plan_family_shards(
-                radices, max(1, self.workers * self.batches_per_worker)
-            )
-            total = len(shards)
-            batches = plan_batches(
-                total, self.workers, self.batches_per_worker, min_batch_size=1
-            )
-        else:
-            shards = ()
-            batches = plan_shard_batches(
-                radices, self.workers, self.batches_per_worker,
-                self.min_batch_size,
-            )
+        batches = plan_shard_batches(
+            radices, self.workers, self.batches_per_worker,
+            self.min_batch_size,
+        )
         self._ensure_workers()
 
         pass_start = PassStart(
@@ -402,10 +379,7 @@ class DistributedSynthesisEngine:
             fail_patterns=core.fail_table.constraints_since(),
             success_patterns=core.success_table.constraints_since(),
             explorer=config.explorer,
-            partial_order=config.partial_order_active,
             packed=config.packed,
-            family=family_mode,
-            family_shards=tuple(shard.to_wire() for shard in shards),
         )
         # PassStart goes on the control queues *before* any task enters
         # the shared queue: each control queue is FIFO, so a worker that
@@ -569,17 +543,10 @@ class DistributedSynthesisEngine:
         core.merged_prefix_counters[0] += result.prefix_cache_hits
         core.merged_prefix_counters[1] += result.prefix_cache_builds
         core.merged_prefix_counters[2] += result.prefix_states_reused
-        core.por_rules_skipped += result.por_rules_skipped
-        core.ample_states += result.ample_states
         if result.peak_states > core.peak_states:
             core.peak_states = result.peak_states
         core.store_hits += result.store_hits
         core.store_writes += result.store_writes
-        core.family_checked += result.family_checked
-        core.family_splits += result.family_splits
-        core.family_candidates_avoided += result.family_candidates_avoided
-        if result.family_max_split_depth > core.family_max_split_depth:
-            core.family_max_split_depth = result.family_max_split_depth
         if (
             result.metrics
             and core.telemetry.enabled

@@ -62,9 +62,7 @@ class CellSpec:
     pruning: bool = True
     generalise: bool = True
     prefix_reuse: bool = True
-    por: bool = False
     packed: bool = True
-    family: bool = False
     evictions: bool = False
     symmetry: bool = True
     solution_limit: Optional[int] = None
@@ -89,9 +87,7 @@ _FLAG_TAGS = (
     ("pruning", False, "naive"),
     ("generalise", False, "nogen"),
     ("prefix_reuse", False, "noreuse"),
-    ("por", True, "por"),
     ("packed", False, "nopacked"),
-    ("family", True, "family"),
     ("evictions", True, "evict"),
     ("symmetry", False, "nosym"),
 )
@@ -158,8 +154,8 @@ def make_cell(values: Dict[str, Any]) -> CellSpec:
                 f"cell {cell.id!r}: unknown skeleton {cell.target!r}; "
                 f"available: {', '.join(sorted(SKELETON_CATALOG))}"
             )
-    for flag in ("pruning", "generalise", "prefix_reuse", "por", "packed",
-                 "family", "evictions", "symmetry"):
+    for flag in ("pruning", "generalise", "prefix_reuse", "packed",
+                 "evictions", "symmetry"):
         if not isinstance(getattr(cell, flag), bool):
             raise ExperimentError(
                 f"cell {cell.id!r}: {flag} must be a bool, "

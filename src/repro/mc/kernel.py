@@ -74,7 +74,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ModelError, WildcardEncountered
 from repro.mc.context import ExecutionContext
-from repro.mc.footprint import get_footprint_analysis
 from repro.mc.result import FailureKind, RunStats, Verdict, VerificationResult
 from repro.mc.system import TransitionSystem
 from repro.mc.trace import Trace, TraceStep
@@ -116,14 +115,6 @@ class ExplorationCheckpoint:
             the prefix; seeds the resumed run's executed set).
         hole_paths: per-sid discovery-path hole sets when the producing run
             tracked them (``track_hole_paths``), else ``None``.
-        reduction: ``"por"`` or ``"full"`` — the reduction mode the
-            producing run explored under.  A checkpoint is only reusable
-            by a run in the same mode: the visited set of a reduced
-            exploration is not a superset-compatible seed for a full one
-            (or vice versa), so :meth:`ExplorationKernel.run` refuses a
-            cross-mode resume.
-        por_rules_skipped / ample_states: counter seeds for the POR
-            statistics, like the other counters.
         packed: whether the producing run explored in packed mode
             (:mod:`repro.mc.packed`).  Packed checkpoints key ``visited``
             by slab id and store slab ids in ``originals``, so they are
@@ -132,13 +123,6 @@ class ExplorationCheckpoint:
             a cross-mode resume.  The prefix cache and all three backends
             keep runtime and checkpoints within one process, so this
             never crosses a process boundary.
-        family: whether the producing run was a family-mode quotient
-            exploration (:mod:`repro.core.family`).  Family checkpoints
-            chain along family splits (parent quotient -> child quotient),
-            while 1-by-1 checkpoints chain along candidate digit prefixes;
-            the two chains interleave holes differently, so :meth:`run`
-            refuses a cross-mode resume like it does for reduction and
-            packing.
     """
 
     visited: Dict[Any, int]
@@ -152,11 +136,7 @@ class ExplorationCheckpoint:
     max_depth: int
     executed_holes: frozenset
     hole_paths: Optional[Tuple[frozenset, ...]] = None
-    reduction: str = "full"
-    por_rules_skipped: int = 0
-    ample_states: int = 0
     packed: bool = False
-    family: bool = False
 
 
 class FrontierStrategy:
@@ -241,34 +221,18 @@ class ExplorationKernel:
             exploration — *does* checkpoint, deliberately: such a prefix
             explores the identical space as every extension, so resumed
             runs (empty cut set) return the same verdict immediately.
-        partial_order: enable footprint-based partial-order reduction
-            (:mod:`repro.mc.footprint`): states whose enabled rules admit
-            a persistent, property-invisible ample subset expand only
-            that subset.  Verdict-exact; the deferred interleavings'
-            effects are reached through the explored ones.  The frontier
-            strategy keeps its cycle proviso sound: FIFO requires a not
-            yet expanded ample successor (the queue proviso), LIFO — a
-            frontier-based DFS with no path stack — conservatively
-            requires an unvisited one.  Counterexample traces under POR
-            are valid but not always depth-minimal.
         packed: run the hot path on packed state encodings
             (:mod:`repro.mc.packed`) when the system carries a
             ``packed_spec``.  Successor dedup, canonicalisation, and the
             property/deadlock memos then operate on slab ids with
-            table-driven orbit minimisation; rule firing, traces, POR
-            ample selection, and counterexample replay still go through
-            real state objects (``PackedRuntime.state_of``), so verdicts,
-            state counts, and solution sets are identical to object mode.
+            table-driven orbit minimisation; rule firing, traces, and
+            counterexample replay still go through real state objects
+            (``PackedRuntime.state_of``), so verdicts, state counts, and
+            solution sets are identical to object mode.
             Silently falls back to the object path when the system has no
             codec.  Defaults to off at this layer — the engine/CLI layers
             default it on — so direct kernel users (and the orbit-cache
             counters their tests pin) are unaffected.
-        family: tag this run (and any checkpoint it collects) as a
-            family-mode quotient exploration.  Purely a provenance/tripwire
-            flag at this layer: exploration semantics are unchanged, but a
-            checkpoint collected here can only seed another family-mode
-            run, and ``resume_from`` refuses a checkpoint from the other
-            mode (see :class:`ExplorationCheckpoint`).
     """
 
     def __init__(
@@ -282,13 +246,9 @@ class ExplorationKernel:
         capture_graph: Any = None,
         resume_from: Optional[ExplorationCheckpoint] = None,
         collect_checkpoint: bool = False,
-        partial_order: bool = False,
         telemetry: Any = None,
         packed: bool = False,
-        family: bool = False,
     ) -> None:
-        self.partial_order = partial_order
-        self.family = family
         if isinstance(strategy, str):
             try:
                 strategy = EXPLORER_STRATEGIES[strategy]()
@@ -345,7 +305,7 @@ class ExplorationKernel:
         packed = rt is not None
         all_rules = tuple(system.rules)
         #: rule indices in the strategy's firing order (system indexing,
-        #: so POR bitmasks line up)
+        #: so the packed runtime's guard bitmasks line up)
         ordered_indices = tuple(
             self.strategy.order_rules(tuple(range(len(all_rules))))
         )
@@ -364,26 +324,8 @@ class ExplorationKernel:
         canon_acc = [0.0]
         canon_seed = [0.0]
         expand_acc = [0.0]
-        ample_acc = [0.0]
         resume_acc = [0.0]
         checkpoint_acc = [0.0]
-        por = None
-        if self.partial_order:
-            if instrumented:
-                with tele.span("footprint_probe") as probe_span:
-                    analysis = get_footprint_analysis(system)
-                    probe_span.set(usable=analysis.usable)
-            else:
-                analysis = get_footprint_analysis(system)
-            if analysis.usable:
-                por = analysis
-        reduction_mode = "por" if por is not None else "full"
-        if self.resume_from is not None and self.resume_from.reduction != reduction_mode:
-            raise ModelError(
-                f"cannot resume a {reduction_mode!r}-mode exploration from a "
-                f"{self.resume_from.reduction!r}-mode checkpoint; partial-order "
-                f"reduction must match across a prefix chain"
-            )
         if self.resume_from is not None and self.resume_from.packed != packed:
             raise ModelError(
                 "cannot resume a {}-mode exploration from a {}-mode "
@@ -393,25 +335,11 @@ class ExplorationKernel:
                     "packed" if self.resume_from.packed else "object",
                 )
             )
-        if self.resume_from is not None and self.resume_from.family != self.family:
-            raise ModelError(
-                "cannot resume a {}-mode exploration from a {}-mode "
-                "checkpoint; family-based and 1-by-1 synthesis chain their "
-                "checkpoints differently".format(
-                    "family" if self.family else "candidate",
-                    "family" if self.resume_from.family else "candidate",
-                )
-            )
-        fifo_proviso = isinstance(self.strategy, FifoFrontier)
         parents: List[Optional[Tuple[int, str]]] = []
         originals: List[Any] = []
         hole_paths: List[frozenset] = []
         pending_coverage = list(system.coverage)
         cut_states: List[Tuple[int, int]] = []
-        #: hole name -> shallowest depth at which it wildcard-cut a firing
-        #: (feeds VerificationResult.cut_holes; the family scheduler's
-        #: earliest-cut split heuristic reads it)
-        cut_hole_depths: Dict[str, int] = {}
 
         states_visited = 0
         transitions = 0
@@ -419,10 +347,6 @@ class ExplorationKernel:
         wildcard_cuts = 0
         max_depth = 0
         truncated = False
-        por_rules_skipped = 0
-        ample_states = 0
-        #: state ids already popped and expanded (the FIFO queue proviso)
-        expanded: Set[int] = set()
         if instrumented:
             # Wrap canonicalisation in a timing shim.  The shim replaces
             # the local binding only — ``canon_source`` keeps serving the
@@ -454,8 +378,6 @@ class ExplorationKernel:
             transitions = resume.transitions
             attempts = resume.attempts
             max_depth = resume.max_depth
-            por_rules_skipped = resume.por_rules_skipped
-            ample_states = resume.ample_states
             ctx.run_executed_holes.update(resume.executed_holes)
             if instrumented:
                 resume_acc[0] += clock() - resume_begin
@@ -558,8 +480,6 @@ class ExplorationKernel:
             }
             if resume is not None:
                 phases["resume_seed"] = resume_acc[0]
-            if por is not None:
-                phases["ample_select"] = ample_acc[0]
             if checkpoint_acc[0]:
                 phases["checkpoint"] = checkpoint_acc[0]
             self.phase_seconds = phases
@@ -587,12 +507,7 @@ class ExplorationKernel:
                 canon_cache_hits=getattr(canon_source, "hits", 0) - cache_hits_base,
                 canon_cache_size=getattr(canon_source, "size", 0),
                 prefix_states_reused=states_reused,
-                por_rules_skipped=por_rules_skipped,
-                ample_states=ample_states,
             )
-
-        def cut_holes_view() -> Tuple[Tuple[str, int], ...]:
-            return tuple(sorted(cut_hole_depths.items()))
 
         def failure(kind: FailureKind, message: str, sid: int,
                     extra_holes: frozenset = frozenset()) -> VerificationResult:
@@ -608,27 +523,14 @@ class ExplorationKernel:
                 wildcard_encountered=ctx.run_wildcard_encountered,
                 executed_holes=frozenset(ctx.run_executed_holes),
                 failure_holes=relevant,
-                cut_holes=cut_holes_view(),
             )
 
         if resume is not None:
             # Inherited states already passed the invariants; only the
             # wildcard-cut states need re-expansion (their classification
-            # depends on holes this run's resolver now assigns).  All
-            # *other* inherited states count as already expanded for the
-            # FIFO cycle proviso — they never will be re-expanded here, so
-            # an ample successor pointing at one must not pass as "still
-            # open" or a deferral cycle through the prefix could ignore a
-            # rule forever.
-            cut_sids = set()
+            # depends on holes this run's resolver now assigns).
             for sid, depth in resume.cut_states:
-                cut_sids.add(sid)
                 frontier.append((originals[sid], sid, depth))
-            if self.partial_order:
-                expanded.update(
-                    sid for sid in range(len(resume.originals))
-                    if sid not in cut_sids
-                )
         else:
             # Seed with initial states (checking invariants on them too).
             for state in system.initial_states():
@@ -668,8 +570,6 @@ class ExplorationKernel:
             state, sid, depth = self.strategy.pop(frontier)
             if tick is not None:
                 tick(states=states_visited, frontier=len(frontier), depth=depth)
-            if por is not None:
-                expanded.add(sid)
             if depth > max_depth:
                 max_depth = depth
             if limits.max_depth is not None and depth >= limits.max_depth:
@@ -677,11 +577,9 @@ class ExplorationKernel:
                 continue
             produced_successor = False
             cut_here = False
-            proviso_ok = False
             path_holes = hole_paths[sid] if self.track_hole_paths else frozenset()
             holes_at_state: Set[Any] = set()
 
-            ample: Optional[frozenset] = None
             enabled: Sequence[int] = ordered_indices
             if packed:
                 # ``state`` is a slab id; the guard verdicts are memoised
@@ -697,41 +595,19 @@ class ExplorationKernel:
                         index for index in ordered_indices
                         if (guard_mask >> index) & 1
                     ]
-            if por is not None:
-                if instrumented:
-                    ample_begin = clock()
-                if not packed:
-                    enabled = [
-                        index for index in ordered_indices
-                        if all_rules[index].guard(state)
-                    ]
-                if len(enabled) >= 2:
-                    mask = 0
-                    for index in enabled:
-                        mask |= 1 << index
-                    visible = por.visible_mask_for(
-                        prop.name for prop in pending_coverage
-                    )
-                    chosen = por.ample(
-                        mask, rt.state_of(state) if packed else state, visible
-                    )
-                    if chosen is not None:
-                        ample = frozenset(chosen)
-                if instrumented:
-                    ample_acc[0] += clock() - ample_begin
 
-            def fire_indices(indices, check_guard) -> Optional[VerificationResult]:
-                """Fire a batch of rules at the current state.
+            def fire_enabled() -> Optional[VerificationResult]:
+                """Fire every enabled rule at the current state.
 
-                With ``check_guard`` (the POR-off fast path) disabled
-                rules are skipped inline; the POR path pre-filters the
-                enabled set instead because ample selection needs it.
+                The object path skips disabled rules inline; the packed
+                path has pre-filtered them through its memoised guard
+                mask.
                 """
-                nonlocal produced_successor, cut_here, proviso_ok
+                nonlocal produced_successor, cut_here
                 nonlocal attempts, wildcard_cuts, transitions, holes_at_state
-                for index in indices:
+                for index in enabled:
                     rule = all_rules[index]
-                    if check_guard and not rule.guard(state):
+                    if not packed and not rule.guard(state):
                         continue
                     attempts += 1
                     ctx.begin_firing()
@@ -740,13 +616,9 @@ class ExplorationKernel:
                             successors = rt.fire(state, index, ctx)
                         else:
                             successors = rule.fire(state, ctx)
-                    except WildcardEncountered as cut:
+                    except WildcardEncountered:
                         cut_here = True
                         wildcard_cuts += 1
-                        name = cut.hole_name
-                        known_depth = cut_hole_depths.get(name)
-                        if known_depth is None or depth < known_depth:
-                            cut_hole_depths[name] = depth
                         continue
                     if self.track_hole_paths:
                         holes_at_state |= ctx.firing_executed_holes
@@ -762,8 +634,6 @@ class ExplorationKernel:
                         new_sid, is_new = register(
                             successor, (sid, rule.name), depth + 1, firing_holes
                         )
-                        if is_new or (fifo_proviso and new_sid not in expanded):
-                            proviso_ok = True
                         if not is_new:
                             continue
                         if packed:
@@ -786,32 +656,11 @@ class ExplorationKernel:
 
             if instrumented:
                 expand_begin = clock()
-            outcome = fire_indices(
-                enabled if ample is None
-                else [index for index in enabled if index in ample],
-                check_guard=por is None and not packed,
-            )
+            outcome = fire_enabled()
             if outcome is not None:
                 if instrumented:
                     expand_acc[0] += clock() - expand_begin
                 return outcome
-            if ample is not None:
-                if proviso_ok and produced_successor:
-                    ample_states += 1
-                    por_rules_skipped += len(enabled) - len(ample)
-                else:
-                    # Cycle proviso tripped (or the ample rules produced
-                    # nothing): upgrade to a full expansion so no firing
-                    # is deferred around a cycle and deadlock
-                    # classification stays exact.
-                    outcome = fire_indices(
-                        [index for index in enabled if index not in ample],
-                        check_guard=False,
-                    )
-                    if outcome is not None:
-                        if instrumented:
-                            expand_acc[0] += clock() - expand_begin
-                        return outcome
             if instrumented:
                 expand_acc[0] += clock() - expand_begin
 
@@ -843,11 +692,7 @@ class ExplorationKernel:
                 max_depth=max_depth,
                 executed_holes=frozenset(ctx.run_executed_holes),
                 hole_paths=tuple(hole_paths) if self.track_hole_paths else None,
-                reduction=reduction_mode,
-                por_rules_skipped=por_rules_skipped,
-                ample_states=ample_states,
                 packed=packed,
-                family=self.family,
             )
             if instrumented:
                 checkpoint_acc[0] += clock() - checkpoint_begin
@@ -866,7 +711,6 @@ class ExplorationKernel:
                     frozenset(ctx.run_executed_holes) if self.track_hole_paths else None
                 ),
                 unmet_coverage=unmet,
-                cut_holes=cut_holes_view(),
             )
         if ctx.run_wildcard_encountered or truncated:
             return VerificationResult(
@@ -876,7 +720,6 @@ class ExplorationKernel:
                 wildcard_encountered=ctx.run_wildcard_encountered,
                 executed_holes=frozenset(ctx.run_executed_holes),
                 unmet_coverage=unmet,
-                cut_holes=cut_holes_view(),
             )
         return VerificationResult(
             verdict=Verdict.SUCCESS,
@@ -918,10 +761,8 @@ def make_explorer(
     capture_graph: Any = None,
     resume_from: Optional[ExplorationCheckpoint] = None,
     collect_checkpoint: bool = False,
-    partial_order: bool = False,
     telemetry: Any = None,
     packed: bool = False,
-    family: bool = False,
 ) -> ExplorationKernel:
     """Build a kernel for a registered strategy name (``bfs``/``dfs``).
 
@@ -940,8 +781,6 @@ def make_explorer(
         capture_graph=capture_graph,
         resume_from=resume_from,
         collect_checkpoint=collect_checkpoint,
-        partial_order=partial_order,
         telemetry=telemetry,
         packed=packed,
-        family=family,
     )

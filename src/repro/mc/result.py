@@ -57,12 +57,6 @@ class RunStats:
     runs; see :class:`~repro.mc.kernel.ExplorationCheckpoint`).  They are
     included in ``states_visited``, which therefore matches a from-scratch
     run of the same candidate.
-
-    ``ample_states`` counts the states partial-order reduction expanded
-    with a proper subset of their enabled rules, and
-    ``por_rules_skipped`` the enabled rule firings those reduced
-    expansions deferred (see :mod:`repro.mc.footprint`).  Both are 0 when
-    POR is off or never found a reducible state.
     """
 
     states_visited: int = 0
@@ -74,8 +68,6 @@ class RunStats:
     canon_cache_hits: int = 0
     canon_cache_size: int = 0
     prefix_states_reused: int = 0
-    por_rules_skipped: int = 0
-    ample_states: int = 0
 
     def merged_with(self, other: "RunStats") -> "RunStats":
         """Combine two runs' statistics (sums, maxima, or-flags)."""
@@ -90,8 +82,6 @@ class RunStats:
             canon_cache_size=max(self.canon_cache_size, other.canon_cache_size),
             prefix_states_reused=self.prefix_states_reused
             + other.prefix_states_reused,
-            por_rules_skipped=self.por_rules_skipped + other.por_rules_skipped,
-            ample_states=self.ample_states + other.ample_states,
         )
 
 
@@ -114,11 +104,6 @@ class VerificationResult:
             the explorer was asked to track hole paths; the refined pruning
             mode uses it.
         unmet_coverage: names of coverage properties never satisfied.
-        cut_holes: ``(hole_name, depth)`` pairs, sorted by name, recording
-            the shallowest depth at which each wildcard hole cut an
-            execution branch during this run.  Empty on wildcard-free runs.
-            Family-based synthesis uses the earliest (minimum-depth) cut to
-            pick the hole an ambiguous family should split on.
         stored_pattern: the generalised failure pattern already computed
             for this run — either replayed from the verdict store or
             computed once when recording to it.  ``None`` means "not
@@ -136,7 +121,6 @@ class VerificationResult:
     executed_holes: FrozenSet[Any] = frozenset()
     failure_holes: Optional[FrozenSet[Any]] = None
     unmet_coverage: Tuple[str, ...] = ()
-    cut_holes: Tuple[Tuple[str, int], ...] = ()
     stored_pattern: Optional[Tuple[Tuple[int, int], ...]] = None
 
     @property

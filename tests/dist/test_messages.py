@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.hole import Hole
 from repro.core.action import Action
-from repro.dist.coordinator import plan_batches
+from repro.dist.coordinator import plan_batches, plan_shard_batches
 from repro.dist.messages import BatchTask, HoleSpec, PassStart, SystemSpec
 from repro.mc.system import TransitionSystem
 from repro.protocols.catalog import build_skeleton, skeleton_names
@@ -78,3 +78,56 @@ class TestPlanBatches:
     def test_tiny_and_empty_spaces(self):
         assert plan_batches(1, workers=4) == [(0, 1)]
         assert plan_batches(0, workers=4) == []
+
+
+class TestPlanShardBatches:
+    """Batch cuts pinned exactly: they decide which candidates each
+    worker sees first, so ``synth --backend processes`` behaviour
+    depends on them.  Plain :func:`plan_batches` cuts differently
+    (28,941 rather than 30,870 for msi-small's last pass)."""
+
+    @pytest.mark.parametrize("radices, workers, expected", [
+        # msi-small's last pass
+        ([3, 5, 7, 3, 7, 5, 3, 7], 2,
+         [(start, min(start + 30_870, 231_525))
+          for start in range(0, 231_525, 30_870)]),
+        ([3, 5, 7, 3, 7, 5, 3, 7], 4,
+         [(start, start + 15_435) for start in range(0, 231_525, 15_435)]),
+        ([1, 5, 7, 1, 3], 2,
+         [(0, 18), (18, 36), (36, 54), (54, 72), (72, 90), (90, 105)]),
+        ([2, 2], 4, [(0, 4)]),
+    ])
+    def test_pinned_plans(self, radices, workers, expected):
+        batches = plan_shard_batches(
+            radices, workers, batches_per_worker=4, min_batch_size=16
+        )
+        assert batches == expected
+
+    #: (radices, workers, cut size): every plan is back-to-back cuts of
+    #: the pinned size, the last one clipped at the product of the radices
+    @pytest.mark.parametrize("radices, workers, size", [
+        ([1, 1, 1], 1, 1), ([1, 1, 1], 3, 1),
+        ([1, 100], 1, 25), ([1, 100], 3, 16),
+        ([1, 5, 7, 1, 3], 1, 42), ([1, 5, 7, 1, 3], 3, 18),
+        ([16, 2, 9], 1, 72), ([16, 2, 9], 3, 36),
+        ([2, 2], 1, 4), ([2, 2], 3, 4),
+        ([2, 3, 4, 5], 1, 40), ([2, 3, 4, 5], 3, 20),
+        ([24], 1, 16), ([24], 3, 16),
+        ([3, 3, 3, 3, 3, 3], 1, 243), ([3, 3, 3, 3, 3, 3], 3, 81),
+        ([3, 5, 7, 3, 7, 5, 3, 7], 1, 61_740),
+        ([3, 5, 7, 3, 7, 5, 3, 7], 3, 30_870),
+        ([4, 4, 1, 4, 4, 4], 1, 256), ([4, 4, 1, 4, 4, 4], 3, 128),
+        ([5, 1, 1, 5, 5], 1, 50), ([5, 1, 1, 5, 5], 3, 20),
+        ([7, 7, 7], 1, 98), ([7, 7, 7], 3, 35),
+    ])
+    def test_pinned_cut_sizes(self, radices, workers, size):
+        total = 1
+        for radix in radices:
+            total *= radix
+        batches = plan_shard_batches(
+            radices, workers, batches_per_worker=4, min_batch_size=16
+        )
+        assert batches == [
+            (start, min(start + size, total))
+            for start in range(0, total, size)
+        ]

@@ -114,9 +114,12 @@ class TestSpecParsing:
         with pytest.raises(ExperimentError, match="unknown axis"):
             spec_from(axes={"flavour": ["a"]})
 
-    def test_unknown_cell_field_rejected(self):
+    # ``por`` was a cell field until partial-order reduction was removed;
+    # old specs that still set it must fail loudly, not run unreduced.
+    @pytest.mark.parametrize("extra", [{"flavour": "spicy"}, {"por": True}])
+    def test_unknown_cell_field_rejected(self, extra):
         with pytest.raises(ExperimentError, match="unknown cell field"):
-            make_cell({"target": "figure2", "flavour": "spicy"})
+            make_cell({"target": "figure2", **extra})
 
     def test_unknown_targets_rejected(self):
         with pytest.raises(ExperimentError, match="unknown skeleton"):

@@ -4,9 +4,9 @@ On every catalog protocol and skeleton, running with full telemetry
 (metrics + trace + instrumented kernel) and with telemetry off must
 produce
 
-* identical verify verdicts AND identical ``states_visited`` — unlike
-  POR, telemetry is pure observation, so even the state counts must
-  match exactly;
+* identical verify verdicts AND identical ``states_visited`` —
+  telemetry is pure observation, so even the state counts must match
+  exactly;
 * identical synthesis solution sets, evaluated-candidate counts, and
   verdict tallies, on every backend;
 * a structurally valid trace: balanced span_start/span_end, every event
@@ -33,9 +33,8 @@ from repro.protocols.catalog import PROTOCOL_BUILDERS, build_skeleton
 from repro.protocols.german import build_german_system
 from repro.protocols.moesi import build_moesi_system
 
-#: (label, builder) mirroring the POR equivalence matrix: every catalog
-#: protocol plus seeded-bug builds, the eviction extension, and
-#: symmetry-off variants
+#: (label, builder): every catalog protocol plus seeded-bug builds, the
+#: eviction extension, and symmetry-off variants
 VERIFY_SYSTEMS = [
     ("mutex", lambda: PROTOCOL_BUILDERS["mutex"](2)),
     ("vi", lambda: PROTOCOL_BUILDERS["vi"](2)),
@@ -102,25 +101,6 @@ def test_verify_identical_with_telemetry(label, builder, tmp_path):
         phase_names = {e["name"] for e in events if e["type"] == "phase"}
         assert "canonicalise" in phase_names
         assert "expand" in phase_names
-
-
-def test_verify_por_kernel_emits_ample_phase(tmp_path):
-    trace = tmp_path / "por.jsonl"
-    tele = Telemetry.create(trace_path=str(trace))
-    on = make_explorer(
-        "bfs", PROTOCOL_BUILDERS["moesi"](2), partial_order=True,
-        telemetry=tele,
-    ).run()
-    tele.close()
-    off = make_explorer(
-        "bfs", PROTOCOL_BUILDERS["moesi"](2), partial_order=True
-    ).run()
-    assert on.stats.states_visited == off.stats.states_visited
-    events = load_events(trace)
-    phase_names = {e["name"] for e in events if e["type"] == "phase"}
-    assert "ample_select" in phase_names
-    span_names = {e["name"] for e in events if e["type"] == "span_start"}
-    assert "footprint_probe" in span_names
 
 
 @pytest.mark.parametrize("name", SKELETONS)

@@ -11,6 +11,8 @@ import multiprocessing
 import os
 import sqlite3
 
+import pytest
+
 from repro.store import (
     StoredRun,
     VerdictJournal,
@@ -91,14 +93,19 @@ class TestProjectionRecovery:
         assert hit is not None and hit.verdict == "failure"
         reopened.close()
 
-    def test_journal_is_the_source_of_truth(self, tmp_path):
+    # The second input is a record written by an older release, which
+    # still carried a ``cut_holes`` field; loading must ignore it.
+    @pytest.mark.parametrize("legacy_fields", [{}, {"cut_holes": [["h", 2]]}])
+    def test_journal_is_the_source_of_truth(self, tmp_path, legacy_fields):
         """Records appended behind the projection's back (another process)
         are visible after the size check triggers a catch-up."""
         store = VerdictStore(str(tmp_path))
         store.record(SYS, FLAGS, (("h", 0),), stored())
         # Simulate a second writer: raw append to the same journal file.
         key = candidate_key(SYS, FLAGS, (("h", 1),))
-        line = json.dumps({"key": key, **stored("failure").to_record()})
+        line = json.dumps(
+            {"key": key, **stored("failure").to_record(), **legacy_fields}
+        )
         with open(tmp_path / JOURNAL_NAME, "ab") as handle:
             handle.write(line.encode() + b"\n")
         hit = store.lookup(SYS, FLAGS, (("h", 1),))

@@ -83,51 +83,34 @@ class TestConflictingFlags:
             "conflicting flags",
         )
 
-    def test_por_and_no_por_mutually_exclusive(self, capsys):
+    @pytest.mark.parametrize("flag", ["--por", "--family"])
+    def test_removed_acceleration_flags_are_unrecognised(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "msi", "--por", "--no-por"])
+            main(["synth", "msi-tiny", flag])
         assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_naive_contradicts_family(self, capsys):
-        run_expect_usage_error(
-            capsys,
-            ["synth", "figure2", "--family", "--naive"],
-            "conflicting flags",
-        )
-
-    def test_family_and_no_family_mutually_exclusive(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["synth", "figure2", "--family", "--no-family"])
-        assert excinfo.value.code == 2
-
-    def test_family_auto_inactivates_under_exploration_limits(self, capsys):
-        """Exploration limits stand the family scheduler down exactly
-        like prefix reuse (a truncated quotient's verdict is unsound for
-        the members), and a user who typed the flag gets a warning."""
+    def test_store_stand_down_is_reported(self, capsys, tmp_path):
+        """Exploration limits stand the verdict store down, and a user who
+        typed the flag gets a warning."""
         from unittest import mock
 
         from repro.core.engine import SynthesisConfig
         from repro.mc.kernel import ExplorationLimits
 
-        limited = SynthesisConfig(
-            family=True, limits=ExplorationLimits(max_states=10)
-        )
-        assert not limited.family_active
-        assert SynthesisConfig(family=True).family_active
-
-        # The synth command surfaces the fallback on stderr; no synth
-        # flag sets kernel limits today, so patch the config the CLI
-        # builds to carry one.
+        # No synth flag sets kernel limits today, so patch the config the
+        # CLI builds to carry one.
         with mock.patch(
             "repro.cli.SynthesisConfig",
             lambda **kwargs: SynthesisConfig(
                 limits=ExplorationLimits(max_states=100_000), **kwargs
             ),
         ):
-            assert main(["synth", "figure2", "--family"]) == 0
+            argv = ["synth", "figure2", "--store", str(tmp_path / "store")]
+            assert main(argv) == 0
         captured = capsys.readouterr()
-        assert "--family is inactive" in captured.err
-        assert "family synthesis:" not in captured.out
+        assert "--store is inactive" in captured.err
+        assert "verdict store:" not in captured.out
 
     def test_matrix_preset_and_spec_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -145,16 +128,17 @@ class TestMatrixErrors:
         assert "cannot read spec" in capsys.readouterr().err
 
 
-class TestMatrixPorOverride:
-    def test_matrix_por_override_no_id_collisions(self, tmp_path):
-        """--por/--no-por apply post-expansion: no duplicate-id crash even
-        when a preset already contains explicit por cells, and every cell
-        really runs in the forced mode."""
-        from repro.experiments import load_preset
+class TestMatrixPackedOverride:
+    def test_matrix_packed_override_keeps_cell_ids(self, tmp_path):
+        """--packed/--no-packed apply post-expansion: cell ids (the journal
+        keys) stay as the spec derives them, and every cell really runs in
+        the forced mode."""
+        from repro.experiments import expand_matrix, load_preset
         from repro.experiments.runner import MatrixRunner
 
+        spec = load_preset("smoke")
+        ids = [cell.id for cell in expand_matrix(spec)]
         for force in (True, False):
-            runner = MatrixRunner(
-                load_preset("smoke"), tmp_path / str(force), force_por=force
-            )
-            assert all(cell.por is force for cell in runner.cells)
+            runner = MatrixRunner(spec, tmp_path / str(force), force_packed=force)
+            assert all(cell.packed is force for cell in runner.cells)
+            assert [cell.id for cell in runner.cells] == ids
