@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
+import subprocess
 import sys
 import time
 
@@ -220,6 +222,74 @@ def test_german_workload(benchmark):
     benchmark.extra_info.update(payload)
 
 
+#: fresh-interpreter samples per configuration of the packed comparison
+PACKED_SAMPLES = 5
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def packed_sample(mode: str) -> dict:
+    """One sample of the packed comparison, taken in this (fresh) process.
+
+    ``object``: REPEATS object-mode checks (orbit cache on), the first one
+    cold.  ``packed``: REPEATS packed checks on a fresh slab (``cold``,
+    the first check pays for every memo), then REPEATS more on the now
+    warm slab (``steady``).  System construction is untimed in both.
+    """
+    from repro.mc.kernel import make_explorer
+
+    if mode == "object":
+        _, (skel, system) = make_systems()
+        seconds, results = check_candidates(skel, system)
+        for result, _ in results:
+            assert result.verdict is Verdict.SUCCESS
+        return {"seconds": seconds, "states": results[0][0].stats.states_visited}
+
+    skel = msi_small(REPLICAS)
+    resolver = make_resolver(skel)
+
+    def packed_checks():
+        results = []
+        start = time.perf_counter()
+        for _ in range(REPEATS):
+            explorer = make_explorer(
+                "bfs", skel.system, resolver=resolver, packed=True
+            )
+            assert explorer.packed_runtime is not None
+            results.append(explorer.run())
+        seconds = time.perf_counter() - start
+        for result in results:
+            assert result.verdict is Verdict.SUCCESS
+        return seconds, results[0].stats.states_visited
+
+    cold, cold_states = packed_checks()
+    steady, steady_states = packed_checks()
+    return {"cold": cold, "steady": steady, "states": cold_states,
+            "steady_states": steady_states}
+
+
+def _fresh_sample(mode: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [_ROOT, os.path.join(_ROOT, "src"), env.get("PYTHONPATH", "")]
+    )
+    completed = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), mode],
+        cwd=_ROOT, env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+def _spread(samples) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {
+        "seconds": round(median, 4),
+        "median_s": round(median, 4),
+        "min_s": round(min(samples), 4),
+        "iqr_s": round(q3 - q1, 4),
+        "samples": len(samples),
+    }
+
+
 def test_packed_kernel_speedup(benchmark):
     """Packed-state kernel on/off on the single-candidate check.
 
@@ -233,70 +303,53 @@ def test_packed_kernel_speedup(benchmark):
     every synthesis pass — replay them as dictionary hits.  The
     acceptance gate (>= 5x, target >= 10x) is on the steady state.
 
+    Every sample runs in a fresh interpreter (:func:`packed_sample`), the
+    object and packed ones interleaved, so a cold check is really cold
+    and no sample inherits another's memos or heap.  Rows record the
+    median, minimum and IQR of ``PACKED_SAMPLES`` samples; the speedups
+    are ratios of medians.
+
     Correctness gates the measurement: identical verdicts and identical
     states per check, and the packed run must actually engage the packed
     runtime (no silent object-path fallback).
     """
-    from repro.mc.kernel import make_explorer
 
-    _, (skel, object_system) = make_systems()
-    object_seconds, object_results = check_candidates(skel, object_system)
-    for result, _ in object_results:
-        assert result.verdict is Verdict.SUCCESS
+    def sample_all():
+        object_samples, packed_samples = [], []
+        for _ in range(PACKED_SAMPLES):
+            object_samples.append(_fresh_sample("object"))
+            packed_samples.append(_fresh_sample("packed"))
+        return object_samples, packed_samples
 
-    packed_skel = msi_small(REPLICAS)
-    packed_system = packed_skel.system
-    resolver = make_resolver(packed_skel)
+    object_samples, packed_samples = run_once(benchmark, sample_all)
 
-    def packed_checks(repeats=REPEATS):
-        results = []
-        start = time.perf_counter()
-        for _ in range(repeats):
-            explorer = make_explorer(
-                "bfs", packed_system, resolver=resolver, packed=True
-            )
-            assert explorer.packed_runtime is not None
-            results.append(explorer.run())
-        return time.perf_counter() - start, results
+    object_states = object_samples[0]["states"]
+    for sample in object_samples:
+        assert sample["states"] == object_states
+    for sample in packed_samples:
+        assert sample["states"] == sample["steady_states"] == object_states
 
-    cold_seconds, cold_results = packed_checks()
-
-    def steady_run():
-        return packed_checks()
-
-    steady_seconds, steady_results = run_once(benchmark, steady_run)
-
-    object_states = object_results[0][0].stats.states_visited
-    for result in cold_results + steady_results:
-        assert result.verdict is Verdict.SUCCESS
-        assert result.stats.states_visited == object_states
-
-    object_per_check = object_seconds / REPEATS
-    steady_per_check = steady_seconds / REPEATS
-    cold_speedup = object_seconds / cold_seconds if cold_seconds else float("inf")
-    steady_speedup = (
-        object_per_check / steady_per_check if steady_per_check else float("inf")
-    )
+    object_row = _spread([sample["seconds"] for sample in object_samples])
+    cold_row = _spread([sample["cold"] for sample in packed_samples])
+    steady_row = _spread([sample["steady"] for sample in packed_samples])
+    cold_speedup = object_row["median_s"] / cold_row["median_s"]
+    steady_speedup = object_row["median_s"] / steady_row["median_s"]
     payload = {
         "replicas": REPLICAS,
         "repeats": REPEATS,
         "skeleton": "msi-small",
+        "cpu_count": os.cpu_count(),
+        "method": (
+            f"median of {PACKED_SAMPLES} fresh-interpreter samples per row, "
+            f"each timing {REPEATS} checks"
+        ),
         "rows": [
-            {
-                "config": "packed-off (orbit cache on)",
-                "seconds": round(object_seconds, 4),
-                "states_per_check": object_states,
-            },
-            {
-                "config": "packed-on (incl. cold first check)",
-                "seconds": round(cold_seconds, 4),
-                "states_per_check": cold_results[0].stats.states_visited,
-            },
-            {
-                "config": "packed-on (steady state)",
-                "seconds": round(steady_seconds, 4),
-                "states_per_check": steady_results[0].stats.states_visited,
-            },
+            {"config": "packed-off (orbit cache on)",
+             "states_per_check": object_states, **object_row},
+            {"config": "packed-on (incl. cold first check)",
+             "states_per_check": object_states, **cold_row},
+            {"config": "packed-on (steady state)",
+             "states_per_check": object_states, **steady_row},
         ],
         "speedup_packed_cold": round(cold_speedup, 3),
         "speedup_packed_steady": round(steady_speedup, 3),
@@ -304,9 +357,8 @@ def test_packed_kernel_speedup(benchmark):
     update_bench_json("packed", payload)
     sys.__stdout__.write(
         f"\nBENCH_mc.json updated: packed kernel speedup "
-        f"{steady_speedup:.2f}x steady ({object_per_check * 1000:.2f}ms -> "
-        f"{steady_per_check * 1000:.2f}ms/check), {cold_speedup:.2f}x "
-        f"incl. cold start\n"
+        f"{steady_speedup:.2f}x steady, {cold_speedup:.2f}x incl. cold start "
+        f"(medians of {PACKED_SAMPLES} fresh-interpreter samples)\n"
     )
     sys.__stdout__.flush()
     benchmark.extra_info.update(payload)
@@ -486,3 +538,8 @@ def test_generalised_pruning_synthesis_speedup(benchmark):
     # container), so assert conservatively for noisy CI boxes.
     assert generalised.evaluated < baseline.evaluated
     assert speedup > 1.0
+
+
+if __name__ == "__main__":
+    # A fresh-interpreter sample for test_packed_kernel_speedup.
+    print(json.dumps(packed_sample(sys.argv[1])))

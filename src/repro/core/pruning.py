@@ -40,6 +40,7 @@ the full-width pattern could cut.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -127,16 +128,32 @@ class PruningTable:
         the new pattern subsumes are *not* removed (removal would invalidate
         matcher snapshots; the duplicate work is only a slightly larger
         table).
+
+        A stored pattern subsumes the new one iff its constraint tuple is a
+        subset of the new one's, and every stored tuple is in ``_seen``.
+        Sub-tuples drawn from the sorted constraints are sorted too, i.e.
+        in stored form, so probing ``_seen`` with every proper one
+        (``2 ** width - 1`` set lookups) decides subsumption exactly.  When
+        that is more lookups than there are stored patterns, the linear
+        :meth:`PruningPattern.subsumes` scan is cheaper and runs instead.
         """
+        constraints = pattern.constraints
         with self._lock:
-            if pattern.constraints in self._seen:
+            seen = self._seen
+            if constraints in seen:
                 return False
             if self._subsumption:
-                for existing in self._patterns:
-                    if existing.subsumes(pattern):
-                        return False
+                if 2 ** len(constraints) > len(self._patterns):
+                    for existing in self._patterns:
+                        if existing.subsumes(pattern):
+                            return False
+                else:
+                    for size in range(len(constraints)):
+                        for subset in itertools.combinations(constraints, size):
+                            if subset in seen:
+                                return False
             self._patterns.append(pattern)
-            self._seen.add(pattern.constraints)
+            seen.add(constraints)
             return True
 
     def __len__(self) -> int:

@@ -143,6 +143,35 @@ def plan_shard_batches(
     return [(start, min(start + size, total)) for start in range(0, total, size)]
 
 
+def _close_written_queue(channel, drain: bool) -> None:
+    """Release a queue this process writes to once its readers are gone.
+
+    Messages no worker read (pattern updates and ``Shutdown`` for a worker
+    that had already stopped, tasks left over from an early stop) keep the
+    queue's feeder thread blocked on a full pipe, holding its buffers, for
+    the life of the process.  This process holds the pipe's read end too,
+    so with ``drain`` it reads back every message still in flight
+    (``qsize`` counts them), which lets the feeder flush, then joins it.
+    Without ``drain``, or where ``qsize`` is unsupported, the feeder is
+    only detached.
+    """
+    try:
+        pending = channel.qsize() if drain else None
+    except NotImplementedError:  # no sem_getvalue (macOS)
+        pending = None
+    if pending is None:
+        channel.cancel_join_thread()
+        return
+    try:
+        for _ in range(pending):
+            channel.get(timeout=_RESULT_POLL_SECONDS)
+    except queue_module.Empty:  # counted but never delivered: do not wait
+        channel.cancel_join_thread()
+        return
+    channel.close()
+    channel.join_thread()
+
+
 class DistributedSynthesisEngine:
     """Process-parallel synthesis driver (the ``processes`` backend).
 
@@ -262,12 +291,15 @@ class DistributedSynthesisEngine:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1)
+        # A worker killed mid-read may have left a torn message in a pipe,
+        # so only queues whose readers all exited on their own are drained.
+        clean = all(process.exitcode == 0 for process in self._processes)
         if self._results is not None:
             self._results.cancel_join_thread()
         if self._tasks is not None:
-            self._tasks.cancel_join_thread()
+            _close_written_queue(self._tasks, clean)
         for control in self._control_queues:
-            control.cancel_join_thread()
+            _close_written_queue(control, clean)
         self._processes = []
         self._tasks = None
         self._control_queues = []

@@ -106,10 +106,19 @@ def fingerprint_state_set(states: Iterable[Any]) -> int:
     XOR-combining per-state fingerprints makes the result independent of
     iteration order, so it can be computed over hash-set contents directly.
     """
+    return combine_fingerprints(fingerprint_state(state) for state in states)
+
+
+def combine_fingerprints(fingerprints: Iterable[int]) -> int:
+    """Set fingerprint from per-state :func:`fingerprint_state` values.
+
+    The combining tail of :func:`fingerprint_state_set`, for callers that
+    already hold (e.g. memoised) per-state fingerprints.
+    """
     combined = 0
     count = 0
-    for state in states:
-        combined ^= fingerprint_state(state)
+    for fingerprint in fingerprints:
+        combined ^= fingerprint
         count += 1
     # Mix in the count so the empty set and self-cancelling pairs differ.
     return fingerprint_bytes(f"{combined}:{count}".encode("ascii"))

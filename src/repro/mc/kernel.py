@@ -738,16 +738,19 @@ class ExplorationKernel:
         canonicaliser's — so each is decoded and re-canonicalised through
         the system's object canonicaliser, which is an orbit function:
         the resulting values (and the XOR-combined set fingerprint) are
-        bit-identical to an object-mode run's.
+        bit-identical to an object-mode run's.  The runtime memoises each
+        slab id's per-state fingerprint, so a state shared by many runs'
+        visited sets is decoded, canonicalised and hashed once.
         """
-        from repro.mc.hashing import fingerprint_state_set
+        from repro.mc.hashing import combine_fingerprints, fingerprint_state_set
 
         rt = self.packed_runtime
         if rt is None:
             return fingerprint_state_set(self.visited_states)
+        fingerprint = rt.fingerprint
         canonicalize = self.system.canonicalize
-        return fingerprint_state_set(
-            canonicalize(rt.state_of(rid)) for rid in self.visited_states
+        return combine_fingerprints(
+            fingerprint(rid, canonicalize) for rid in self.visited_states
         )
 
 

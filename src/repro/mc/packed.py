@@ -19,7 +19,8 @@ counterexample replay:
   index) and memoises, per interned state: the canonical orbit member,
   the enabled-rule set, rule-firing successors (a per-rule resolution
   trie, so synthesis candidates share work), invariant verdicts, coverage
-  and deadlock classification.
+  and deadlock classification, and the behaviour fingerprint of the
+  state's object-canonical form (so each state is hashed once per system).
 * Canonicalisation is table-driven: per permutation, a precomputed
   index/value remap over the packed layout; the orbit minimum is a min
   over remapped code vectors with **no** object reconstruction.
@@ -43,6 +44,7 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError, WildcardEncountered
+from repro.mc.hashing import fingerprint_state
 
 #: slab capacity: a hard cap so a runaway system fails loudly instead of
 #: swallowing memory; catalog workloads intern a few thousand states
@@ -413,7 +415,7 @@ class PackedRuntime:
     __slots__ = (
         "codec", "_rules", "_invariants", "_coverage", "_deadlock",
         "_index", "_codes", "_states", "_canon", "_enabled", "_inv",
-        "_cov", "_dead", "_fire", "_lock", "_stride",
+        "_cov", "_dead", "_fire", "_prints", "_lock", "_stride",
         "states_interned", "canon_scans", "fire_memo_hits",
         "fire_memo_misses", "decode_calls",
     )
@@ -434,6 +436,7 @@ class PackedRuntime:
         self._cov: List[Optional[frozenset]] = []
         self._dead: List[Optional[bool]] = []
         self._fire: Dict[int, Any] = {}
+        self._prints: Dict[Any, Dict[int, int]] = {}
         self._lock = threading.Lock()
         self.states_interned = 0
         self.canon_scans = 0
@@ -555,6 +558,22 @@ class PackedRuntime:
             verdict = self._deadlock.is_deadlock(self.state_of(rid))
             self._dead[rid] = verdict
         return verdict
+
+    def fingerprint(self, rid: int, canonicalize: Callable[[Any], Any]) -> int:
+        """``fingerprint_state(canonicalize(state_of(rid)))``, memoised.
+
+        Memoised per canonicaliser as well as per slab id:
+        ``with_canonicalizer`` copies of a system share this runtime but
+        may map a state to different representatives.
+        """
+        memo = self._prints.get(canonicalize)
+        if memo is None:
+            memo = self._prints.setdefault(canonicalize, {})
+        value = memo.get(rid)
+        if value is None:
+            value = fingerprint_state(canonicalize(self.state_of(rid)))
+            memo[rid] = value
+        return value
 
     # -- firing memo --------------------------------------------------------
 

@@ -331,3 +331,87 @@ def test_subtree_walker_equals_flat_matching(radices, raw_patterns):
     assert walked == expected
     assert enumerator.counters.yielded == len(expected)
     assert enumerator.counters.skipped["fail"] == product_size(radices) - len(expected)
+
+
+# -- differential property test: subset probe == linear subsumption scan ----
+
+
+class LinearScanTable:
+    """Oracle: the table's accept/reject rule as a plain linear scan."""
+
+    def __init__(self, subsumption):
+        self.subsumption = subsumption
+        self.patterns = []
+
+    def add(self, pattern):
+        if any(existing == pattern for existing in self.patterns):
+            return False
+        if self.subsumption and any(
+            set(existing.constraints) <= set(pattern.constraints)
+            for existing in self.patterns
+        ):
+            return False
+        self.patterns.append(pattern)
+        return True
+
+
+constraint_set_strategy = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 2)),
+    max_size=8,
+    unique_by=lambda c: c[0],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(constraint_set_strategy, min_size=1, max_size=12),
+    st.lists(st.integers(0, 11), max_size=80),
+    st.booleans(),
+)
+def test_subset_probe_equals_linear_scan(pool, picks, subsumption):
+    """Streams drawn from a small pool repeat patterns (duplicates); widths
+    run from the empty pattern to 8, so a stream crosses from the scan
+    fallback (``2 ** width`` above the table size) to the subset probe."""
+    stream = [PruningPattern(pool[pick % len(pool)]) for pick in picks]
+    table = PruningTable(subsumption=subsumption)
+    oracle = LinearScanTable(subsumption)
+    for pattern in stream:
+        assert table.add(pattern) == oracle.add(pattern), pattern
+    assert table.all_patterns() == oracle.patterns
+
+
+class TestSubsumptionStrategy:
+    """Which of the two exact strategies ``add`` takes, by table size."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        original = PruningPattern.subsumes
+
+        def subsumes(self, other):
+            calls.append(self)
+            return original(self, other)
+
+        monkeypatch.setattr(PruningPattern, "subsumes", subsumes)
+        return calls
+
+    @staticmethod
+    def _singletons(count):
+        table = PruningTable()
+        for position in range(count):
+            assert table.add(PruningPattern([(position, 1)]))
+        return table
+
+    def test_narrow_pattern_probes_without_scanning(self, monkeypatch):
+        table = self._singletons(20)
+        calls = self._counting(monkeypatch)
+        assert table.add(PruningPattern([(30, 0), (31, 0)]))
+        assert not table.add(PruningPattern([(3, 1), (30, 1)]))
+        assert calls == []
+
+    def test_wide_pattern_falls_back_to_the_scan(self, monkeypatch):
+        table = self._singletons(20)
+        calls = self._counting(monkeypatch)
+        # 2 ** 5 probes exceed the 20 stored patterns: scan instead.
+        assert table.add(PruningPattern([(p, 0) for p in range(30, 35)]))
+        assert len(calls) == 20

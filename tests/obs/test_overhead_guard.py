@@ -104,8 +104,10 @@ class TestRecordedPackedFloor:
     Same recorded-ratio discipline as the telemetry guard: the bench run
     measured packed and object checks of the identical workload on the
     same machine, so the ratio is deterministic here — no re-timing in
-    tier-1.  The floor (3x steady-state) is deliberately far below the
-    measured ~14x and the bench's own >= 5x gate: this test exists to
+    tier-1.  The recorded speedups are ratios of medians over
+    fresh-interpreter samples, not single in-suite timings.  The floor
+    (3x steady-state) is deliberately far below the measured ~14x and
+    the bench's own >= 5x gate: this test exists to
     catch the packed path silently falling back to the object kernel or
     losing its memoisation, not to re-litigate the exact multiple.
     """
