@@ -48,7 +48,6 @@ from repro.errors import SynthesisError
 from repro.mc.kernel import (
     EXPLORER_STRATEGIES,
     ExplorationCheckpoint,
-    ExplorationKernel,
     ExplorationLimits,
     make_explorer,
 )
@@ -63,24 +62,6 @@ FAIL_TAG = "failure"
 SUCCESS_TAG = "success"
 
 _RUN_STATS_FIELDS = frozenset(f.name for f in dataclasses.fields(RunStats))
-
-
-class _StoredRunExplorer:
-    """Explorer stand-in for a verdict replayed from the store.
-
-    :meth:`SynthesisCore.handle_result` only ever asks the explorer for a
-    solution fingerprint; a store hit answers with the recorded one
-    (store hits are gated on its presence when fingerprints are on).
-    """
-
-    __slots__ = ("checkpoint", "_fingerprint")
-
-    def __init__(self, fingerprint: Optional[str]) -> None:
-        self.checkpoint = None
-        self._fingerprint = fingerprint
-
-    def fingerprint_visited(self) -> Optional[str]:
-        return self._fingerprint
 
 
 def _candidate_label(vector: CandidateVector) -> str:
@@ -134,12 +115,6 @@ class SynthesisConfig:
         prefix_cache_capacity: LRU entry cap of the prefix cache; needs to
             exceed the hole count for the chain to stay warm along one
             enumeration path.
-        refined_patterns: record patterns constraining only the holes
-            executed on the minimal error trace instead of the full
-            candidate prefix — a strictly stronger, still sound pruning
-            (our extension; benchmarked as an ablation).  Subsumed by
-            ``generalise_conflicts`` in practice; kept as the
-            kernel-tracking-based fallback and ablation.
         success_patterns: memoise solutions so later passes don't re-verify
             extensions of a known solution whose extra holes are don't-cares.
         subsumption: drop new patterns already implied by stored ones.
@@ -197,7 +172,6 @@ class SynthesisConfig:
     generalise_conflicts: bool = True
     prefix_reuse: bool = True
     prefix_cache_capacity: int = 64
-    refined_patterns: bool = False
     success_patterns: bool = True
     subsumption: bool = True
     default_action_index: int = 0
@@ -592,14 +566,14 @@ class SynthesisCore:
             self.registry, vector, self.config.default_action_index
         )
 
-    def evaluate(self, vector: CandidateVector) -> Tuple[VerificationResult, ExplorationKernel]:
+    def evaluate(self, vector: CandidateVector) -> VerificationResult:
         """Model check one candidate, resuming from the prefix cache when possible."""
         tele = self.telemetry
         if not tele.enabled:
             return self._evaluate_inner(vector)
         begin = time.perf_counter()
         with tele.span("evaluate", candidate=_candidate_label(vector)) as span:
-            result, explorer = self._evaluate_inner(vector)
+            result = self._evaluate_inner(vector)
             span.set(
                 verdict=result.verdict.value,
                 states=result.stats.states_visited,
@@ -607,9 +581,9 @@ class SynthesisCore:
         handles = self._metric_handles
         if handles is not None:
             handles["check_seconds"].observe(time.perf_counter() - begin)
-        return result, explorer
+        return result
 
-    def _evaluate_inner(self, vector: CandidateVector) -> Tuple[VerificationResult, ExplorationKernel]:
+    def _evaluate_inner(self, vector: CandidateVector) -> VerificationResult:
         concrete = not any(entry is WILDCARD for entry in vector.entries)
         assignment = None
         holes_before: Optional[Tuple[Hole, ...]] = None
@@ -639,7 +613,6 @@ class SynthesisCore:
             resolver=self.make_resolver(vector),
             limits=self.config.limits,
             record_traces=self.config.record_traces,
-            track_hole_paths=self.config.refined_patterns,
             resume_from=resume,
             collect_checkpoint=collect,
             packed=self.config.packed,
@@ -650,11 +623,18 @@ class SynthesisCore:
             cache.store((), explorer.checkpoint)
         if resume is not None:
             cache.note_hit(result.stats.prefix_states_reused)
+        if result.is_success and self.config.compute_fingerprints:
+            # Packed explorers key visited by slab id; this decodes and
+            # re-canonicalises so fingerprints stay bit-identical across
+            # packed and object runs.
+            result = dataclasses.replace(
+                result, fingerprint=explorer.fingerprint_visited()
+            )
         if assignment is not None and not self.store_readonly:
             result = self._record_stored_run(
-                assignment, holes_before, vector.entries, result, explorer
+                assignment, holes_before, vector.entries, result
             )
-        return result, explorer
+        return result
 
     # -- verdict store ------------------------------------------------------
 
@@ -673,9 +653,7 @@ class SynthesisCore:
             return False
         return True
 
-    def _replay_stored_run(
-        self, stored: StoredRun
-    ) -> Tuple[VerificationResult, "_StoredRunExplorer"]:
+    def _replay_stored_run(self, stored: StoredRun) -> VerificationResult:
         """Rebuild a :class:`VerificationResult` from the store, sans model check.
 
         Holes the original run discovered are *reserved* (placeholder
@@ -700,7 +678,7 @@ class SynthesisCore:
             for key, value in stored.stats.items()
             if key in _RUN_STATS_FIELDS
         }
-        result = VerificationResult(
+        return VerificationResult(
             verdict=Verdict(stored.verdict),
             failure_kind=(
                 FailureKind(stored.failure_kind)
@@ -712,11 +690,12 @@ class SynthesisCore:
             stats=RunStats(**stats_fields),
             wildcard_encountered=stored.wildcard_encountered,
             executed_holes=frozenset(executed),
-            failure_holes=None,
             unmet_coverage=stored.unmet_coverage,
             stored_pattern=stored.pattern,
+            fingerprint=(
+                stored.fingerprint if self.config.compute_fingerprints else None
+            ),
         )
-        return result, _StoredRunExplorer(stored.fingerprint)
 
     def _record_stored_run(
         self,
@@ -724,7 +703,6 @@ class SynthesisCore:
         holes_before: Tuple[Hole, ...],
         digits: Tuple[int, ...],
         result: VerificationResult,
-        explorer: ExplorationKernel,
     ) -> VerificationResult:
         """Append one cold run's outcome to the store.
 
@@ -739,9 +717,6 @@ class SynthesisCore:
             result = dataclasses.replace(
                 result, stored_pattern=pattern_constraints
             )
-        fingerprint = None
-        if result.is_success and self.config.compute_fingerprints:
-            fingerprint = explorer.fingerprint_visited()
         new_holes = tuple(
             (
                 hole.name,
@@ -763,7 +738,7 @@ class SynthesisCore:
                 sorted(hole.name for hole in result.executed_holes)
             ),
             unmet_coverage=result.unmet_coverage,
-            fingerprint=fingerprint,
+            fingerprint=result.fingerprint,
             pattern=pattern_constraints,
             new_holes=new_holes,
         )
@@ -834,7 +809,6 @@ class SynthesisCore:
                 resolver=self.make_resolver(CandidateVector.from_digits(prefix)),
                 limits=self.config.limits,
                 record_traces=self.config.record_traces,
-                track_hole_paths=self.config.refined_patterns,
                 resume_from=resume,
                 collect_checkpoint=True,
                 packed=self.config.packed,
@@ -851,9 +825,9 @@ class SynthesisCore:
         In naive mode the initial run *is* the all-defaults candidate; it is
         counted once here and deduplicated in later passes.
         """
-        result, explorer = self.evaluate(CandidateVector.empty())
+        result = self.evaluate(CandidateVector.empty())
         self.evaluated += 1
-        self.handle_result((), result, explorer, run_index=self.evaluated)
+        self.handle_result((), result, run_index=self.evaluated)
 
     def process_candidate(
         self,
@@ -885,12 +859,12 @@ class SynthesisCore:
             return
         if lock is None:
             self.check_evaluation_budget()
-        result, explorer = self.evaluate(CandidateVector.from_digits(digits))
+        result = self.evaluate(CandidateVector.from_digits(digits))
         with guard:
             if lock is not None:
                 self.check_evaluation_budget()
             self.evaluated += 1
-            self.handle_result(digits, result, explorer, run_index=self.evaluated)
+            self.handle_result(digits, result, run_index=self.evaluated)
 
     def finalize_report(self, report: "SynthesisReport") -> "SynthesisReport":
         """Copy the aggregate outcome into ``report`` (shared by all engines)."""
@@ -942,7 +916,6 @@ class SynthesisCore:
         self,
         digits: Tuple[int, ...],
         result: VerificationResult,
-        explorer: ExplorationKernel,
         run_index: int,
     ) -> None:
         """Record patterns/solutions for one dispatched candidate."""
@@ -987,14 +960,7 @@ class SynthesisCore:
                     for pos, action in enumerate(digits)
                 ),
                 states_visited=result.stats.states_visited,
-                fingerprint=(
-                    # Packed explorers key visited by slab id; this decodes
-                    # and re-canonicalises so fingerprints stay bit-identical
-                    # across packed and object runs.
-                    explorer.fingerprint_visited()
-                    if self.config.compute_fingerprints
-                    else None
-                ),
+                fingerprint=result.fingerprint,
                 run_index=run_index,
                 executed_holes=tuple(
                     sorted(hole.name for hole in result.executed_holes)
@@ -1025,16 +991,6 @@ class SynthesisCore:
             )
             if pattern is not None:
                 return pattern
-        if self.config.refined_patterns and result.failure_holes is not None:
-            constraints = []
-            for hole in result.failure_holes:
-                position = self.registry.position_of(hole, register=False)
-                if position is None or position >= len(digits):
-                    raise SynthesisError(
-                        f"failure hole {hole.name!r} has no assigned position"
-                    )
-                constraints.append((position, digits[position]))
-            return PruningPattern(constraints)
         return PruningPattern.from_candidate(CandidateVector.from_digits(digits))
 
     def check_evaluation_budget(self) -> None:

@@ -91,30 +91,32 @@ class ParallelSynthesisEngine:
         )
         watch = Stopwatch.started()
         tele = self.telemetry
-        with tele.span(
-            "synthesis", system=self.system.name, backend="threads",
-            threads=self.threads,
-        ) as span:
-            if tele.enabled:
-                # Worker threads start with empty span stacks; parent
-                # their evaluate spans under the run's root span.
-                tele.tracer.default_parent = span.span_id
-            try:
-                core.run_initial()
-            except _StopSynthesis:
-                self._stop.set()
-            if not self._stop.is_set():
-                self._run_passes(report)
-            if tele.enabled:
-                tele.tracer.default_parent = None
-                span.set(
-                    evaluated=core.evaluated, solutions=len(core.solutions)
-                )
-        report.elapsed_seconds = watch.elapsed
-        report = core.finalize_report(report)
-        core.close_store()
-        if self._owns_telemetry:
-            tele.close()
+        try:
+            with tele.span(
+                "synthesis", system=self.system.name, backend="threads",
+                threads=self.threads,
+            ) as span:
+                if tele.enabled:
+                    # Worker threads start with empty span stacks; parent
+                    # their evaluate spans under the run's root span.
+                    tele.tracer.default_parent = span.span_id
+                try:
+                    core.run_initial()
+                except _StopSynthesis:
+                    self._stop.set()
+                if not self._stop.is_set():
+                    self._run_passes(report)
+                if tele.enabled:
+                    tele.tracer.default_parent = None
+                    span.set(
+                        evaluated=core.evaluated, solutions=len(core.solutions)
+                    )
+            report.elapsed_seconds = watch.elapsed
+            report = core.finalize_report(report)
+        finally:
+            core.close_store()
+            if self._owns_telemetry:
+                tele.close()
         return report
 
     def _run_passes(self, report: SynthesisReport) -> None:

@@ -350,26 +350,28 @@ class DistributedSynthesisEngine:
         )
         watch = Stopwatch.started()
         tele = self.telemetry
-        with tele.span(
-            "synthesis", system=self.system.name, backend="processes",
-            workers=self.workers,
-        ) as span:
-            try:
-                core.run_initial()
-                self._run_passes(report)
-            except _StopSynthesis:
-                pass
-            finally:
-                self._shutdown_workers()
-            if tele.enabled:
-                span.set(
-                    evaluated=core.evaluated, solutions=len(core.solutions)
-                )
-        report.elapsed_seconds = watch.elapsed
-        report = core.finalize_report(report)
-        core.close_store()
-        if self._owns_telemetry:
-            tele.close()
+        try:
+            with tele.span(
+                "synthesis", system=self.system.name, backend="processes",
+                workers=self.workers,
+            ) as span:
+                try:
+                    core.run_initial()
+                    self._run_passes(report)
+                except _StopSynthesis:
+                    pass
+                finally:
+                    self._shutdown_workers()
+                if tele.enabled:
+                    span.set(
+                        evaluated=core.evaluated, solutions=len(core.solutions)
+                    )
+            report.elapsed_seconds = watch.elapsed
+            report = core.finalize_report(report)
+        finally:
+            core.close_store()
+            if self._owns_telemetry:
+                tele.close()
         return report
 
     def _run_passes(self, report: SynthesisReport) -> None:

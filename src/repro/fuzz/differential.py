@@ -683,8 +683,7 @@ class DifferentialRunner:
             packed=kc.packed,
         )
         core = SynthesisCore(system, config)
-        result, _explorer = core.evaluate(CandidateVector.empty())
-        return result
+        return core.evaluate(CandidateVector.empty())
 
     def _kernel_bug_run(
         self, spec: ProtocolSpec, kc: KernelConfig

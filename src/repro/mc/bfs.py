@@ -31,8 +31,6 @@ class BfsExplorer(ExplorationKernel):
         resolver: Any = None,
         limits: Optional[ExplorationLimits] = None,
         record_traces: bool = True,
-        track_hole_paths: bool = False,
-        capture_graph: Any = None,
     ) -> None:
         super().__init__(
             system,
@@ -40,6 +38,4 @@ class BfsExplorer(ExplorationKernel):
             strategy=FifoFrontier(),
             limits=limits,
             record_traces=record_traces,
-            track_hole_paths=track_hole_paths,
-            capture_graph=capture_graph,
         )

@@ -65,9 +65,9 @@ class ExecutionContext:
 
     Rule bodies call :meth:`resolve` to obtain the action currently assigned
     to a hole.  The context tracks, per rule firing and for the whole run,
-    which holes were executed and whether a wildcard cut occurred; the
-    explorer uses the per-firing data for deadlock classification and
-    (optionally) refined trace-based pruning.
+    which holes were executed and whether a wildcard cut occurred; failure
+    generalisation (:func:`repro.core.pruning.generalise_failure`) reads
+    the per-firing data while it replays a counterexample.
     """
 
     __slots__ = (

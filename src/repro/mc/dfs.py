@@ -34,9 +34,7 @@ __all__ = ["DfsExplorer"]
 class DfsExplorer(ExplorationKernel):
     """One-shot depth-first explorer (LIFO frontier strategy).
 
-    Same interface as :class:`~repro.mc.bfs.BfsExplorer`, including
-    ``track_hole_paths`` and ``capture_graph`` (both gained from the
-    shared kernel).
+    Same interface as :class:`~repro.mc.bfs.BfsExplorer`.
     """
 
     def __init__(
@@ -45,8 +43,6 @@ class DfsExplorer(ExplorationKernel):
         resolver: Any = None,
         limits: Optional[ExplorationLimits] = None,
         record_traces: bool = True,
-        track_hole_paths: bool = False,
-        capture_graph: Any = None,
     ) -> None:
         super().__init__(
             system,
@@ -54,6 +50,4 @@ class DfsExplorer(ExplorationKernel):
             strategy=LifoFrontier(),
             limits=limits,
             record_traces=record_traces,
-            track_hole_paths=track_hole_paths,
-            capture_graph=capture_graph,
         )

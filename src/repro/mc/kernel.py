@@ -6,9 +6,9 @@ Every search strategy in this package — breadth-first
 parameterised by a :class:`FrontierStrategy`.  The kernel owns everything
 the strategies used to duplicate: state interning against the system's
 canonicaliser, invariant and coverage evaluation, the parent/trace store,
-wildcard bookkeeping, deadlock classification, optional hole-path tracking
-and graph capture, and :class:`~repro.mc.result.RunStats` (including the
-canonicalisation-cache counters).  A strategy contributes exactly two
+wildcard bookkeeping, deadlock classification, and
+:class:`~repro.mc.result.RunStats` (including the canonicalisation-cache
+counters).  A strategy contributes exactly two
 decisions: which end of the frontier to pop (FIFO = BFS, LIFO = DFS) and
 in which order to try rules at a state.
 
@@ -70,7 +70,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError, WildcardEncountered
 from repro.mc.context import ExecutionContext
@@ -113,8 +113,6 @@ class ExplorationCheckpoint:
             seeds, so resumed stats match a from-scratch run.
         executed_holes: holes resolved during the prefix run (a subset of
             the prefix; seeds the resumed run's executed set).
-        hole_paths: per-sid discovery-path hole sets when the producing run
-            tracked them (``track_hole_paths``), else ``None``.
         packed: whether the producing run explored in packed mode
             (:mod:`repro.mc.packed`).  Packed checkpoints key ``visited``
             by slab id and store slab ids in ``originals``, so they are
@@ -135,7 +133,6 @@ class ExplorationCheckpoint:
     attempts: int
     max_depth: int
     executed_holes: frozenset
-    hole_paths: Optional[Tuple[frozenset, ...]] = None
     packed: bool = False
 
 
@@ -203,17 +200,11 @@ class ExplorationKernel:
         limits: optional exploration caps.
         record_traces: keep parent pointers for trace reconstruction
             (disable to save memory on very large complete-system runs).
-        track_hole_paths: additionally record, per state, the set of holes
-            executed on its discovery path; enables refined trace-based
-            pruning (an extension over the paper; see
-            :mod:`repro.core.pruning`).
-        capture_graph: optionally pass a :class:`repro.mc.graph.StateGraph`
-            to receive every state and transition (for visualisation).
         resume_from: an :class:`ExplorationCheckpoint` from a run whose
             assignment this run's resolver extends; inherited states are
             not re-explored (see the module docstring).  The caller is
             responsible for the extension relationship and for matching
-            ``record_traces``/``track_hole_paths``.
+            ``record_traces``.
         collect_checkpoint: capture :attr:`checkpoint` when the frontier
             drains without truncation and without an invariant/deadlock
             failure; it stays ``None`` otherwise.  A COVERAGE failure —
@@ -242,8 +233,6 @@ class ExplorationKernel:
         strategy: Any = "bfs",
         limits: Optional[ExplorationLimits] = None,
         record_traces: bool = True,
-        track_hole_paths: bool = False,
-        capture_graph: Any = None,
         resume_from: Optional[ExplorationCheckpoint] = None,
         collect_checkpoint: bool = False,
         telemetry: Any = None,
@@ -269,17 +258,6 @@ class ExplorationKernel:
         self.ctx = ExecutionContext(resolver)
         self.limits = limits or ExplorationLimits()
         self.record_traces = record_traces
-        self.track_hole_paths = track_hole_paths
-        self.capture_graph = capture_graph
-        if (
-            resume_from is not None
-            and track_hole_paths
-            and resume_from.hole_paths is None
-        ):
-            raise ModelError(
-                "cannot resume a hole-path-tracking run from a checkpoint "
-                "recorded without track_hole_paths"
-            )
         self.resume_from = resume_from
         self.collect_checkpoint = collect_checkpoint
         #: populated by :meth:`run` when ``collect_checkpoint`` was set and
@@ -337,7 +315,6 @@ class ExplorationKernel:
             )
         parents: List[Optional[Tuple[int, str]]] = []
         originals: List[Any] = []
-        hole_paths: List[frozenset] = []
         pending_coverage = list(system.coverage)
         cut_states: List[Tuple[int, int]] = []
 
@@ -369,8 +346,6 @@ class ExplorationKernel:
             visited.update(resume.visited)
             originals.extend(resume.originals)
             parents.extend(resume.parents)
-            if self.track_hole_paths:
-                hole_paths.extend(resume.hole_paths)
             pending = set(resume.pending_coverage)
             pending_coverage = [p for p in pending_coverage if p.name in pending]
             states_visited = resume.states_visited
@@ -392,8 +367,8 @@ class ExplorationKernel:
 
         frontier: deque = deque()
 
-        def register(state: Any, parent: Optional[Tuple[int, str]], depth: int,
-                     path_holes: frozenset) -> Tuple[int, bool]:
+        def register(state: Any, parent: Optional[Tuple[int, str]],
+                     depth: int) -> Tuple[int, bool]:
             """Canonicalise, dedup, property-check, and enqueue a state.
 
             In packed mode ``state`` is a slab id: canonicalisation is the
@@ -414,15 +389,11 @@ class ExplorationKernel:
                 canon = canonicalize(state)
             known = visited.get(canon)
             if known is not None:
-                if self.capture_graph is not None and parent is not None:
-                    self.capture_graph.add_edge(parent[0], known, parent[1])
                 return known, False
             sid = len(originals)
             visited[canon] = sid
             originals.append(state)
             parents.append(parent if self.record_traces else None)
-            if self.track_hole_paths:
-                hole_paths.append(path_holes)
             states_visited += 1
             if pending_coverage:
                 if packed:
@@ -434,12 +405,6 @@ class ExplorationKernel:
                     for prop in list(pending_coverage):
                         if prop.satisfied_by(state):
                             pending_coverage.remove(prop)
-            if self.capture_graph is not None:
-                self.capture_graph.add_state(
-                    sid, rt.state_of(state) if packed else state, depth
-                )
-                if parent is not None:
-                    self.capture_graph.add_edge(parent[0], sid, parent[1])
             frontier.append((state, sid, depth))
             return sid, True
 
@@ -509,11 +474,8 @@ class ExplorationKernel:
                 prefix_states_reused=states_reused,
             )
 
-        def failure(kind: FailureKind, message: str, sid: int,
-                    extra_holes: frozenset = frozenset()) -> VerificationResult:
-            relevant: Optional[frozenset] = None
-            if self.track_hole_paths:
-                relevant = hole_paths[sid] | extra_holes
+        def failure(kind: FailureKind, message: str,
+                    sid: int) -> VerificationResult:
             return VerificationResult(
                 verdict=Verdict.FAILURE,
                 failure_kind=kind,
@@ -522,7 +484,6 @@ class ExplorationKernel:
                 stats=stats(),
                 wildcard_encountered=ctx.run_wildcard_encountered,
                 executed_holes=frozenset(ctx.run_executed_holes),
-                failure_holes=relevant,
             )
 
         if resume is not None:
@@ -536,7 +497,7 @@ class ExplorationKernel:
             for state in system.initial_states():
                 if packed:
                     state = rt.intern(state)
-                sid, is_new = register(state, None, 0, frozenset())
+                sid, is_new = register(state, None, 0)
                 if not is_new:
                     continue
                 if packed:
@@ -577,8 +538,6 @@ class ExplorationKernel:
                 continue
             produced_successor = False
             cut_here = False
-            path_holes = hole_paths[sid] if self.track_hole_paths else frozenset()
-            holes_at_state: Set[Any] = set()
 
             enabled: Sequence[int] = ordered_indices
             if packed:
@@ -604,7 +563,7 @@ class ExplorationKernel:
                 mask.
                 """
                 nonlocal produced_successor, cut_here
-                nonlocal attempts, wildcard_cuts, transitions, holes_at_state
+                nonlocal attempts, wildcard_cuts, transitions
                 for index in enabled:
                     rule = all_rules[index]
                     if not packed and not rule.guard(state):
@@ -620,19 +579,12 @@ class ExplorationKernel:
                         cut_here = True
                         wildcard_cuts += 1
                         continue
-                    if self.track_hole_paths:
-                        holes_at_state |= ctx.firing_executed_holes
                     if successors:
                         produced_successor = True
-                    firing_holes = (
-                        path_holes | ctx.firing_executed_holes
-                        if self.track_hole_paths
-                        else frozenset()
-                    )
                     for successor in successors:
                         transitions += 1
                         new_sid, is_new = register(
-                            successor, (sid, rule.name), depth + 1, firing_holes
+                            successor, (sid, rule.name), depth + 1
                         )
                         if not is_new:
                             continue
@@ -673,7 +625,6 @@ class ExplorationKernel:
                         FailureKind.DEADLOCK,
                         "deadlock: no enabled transitions",
                         sid,
-                        extra_holes=frozenset(holes_at_state),
                     )
 
         if self.collect_checkpoint and not truncated:
@@ -691,7 +642,6 @@ class ExplorationKernel:
                 attempts=attempts,
                 max_depth=max_depth,
                 executed_holes=frozenset(ctx.run_executed_holes),
-                hole_paths=tuple(hole_paths) if self.track_hole_paths else None,
                 packed=packed,
             )
             if instrumented:
@@ -707,9 +657,6 @@ class ExplorationKernel:
                 stats=stats(),
                 wildcard_encountered=False,
                 executed_holes=frozenset(ctx.run_executed_holes),
-                failure_holes=(
-                    frozenset(ctx.run_executed_holes) if self.track_hole_paths else None
-                ),
                 unmet_coverage=unmet,
             )
         if ctx.run_wildcard_encountered or truncated:
@@ -760,8 +707,6 @@ def make_explorer(
     resolver: Any = None,
     limits: Optional[ExplorationLimits] = None,
     record_traces: bool = True,
-    track_hole_paths: bool = False,
-    capture_graph: Any = None,
     resume_from: Optional[ExplorationCheckpoint] = None,
     collect_checkpoint: bool = False,
     telemetry: Any = None,
@@ -780,8 +725,6 @@ def make_explorer(
         strategy=strategy,
         limits=limits,
         record_traces=record_traces,
-        track_hole_paths=track_hole_paths,
-        capture_graph=capture_graph,
         resume_from=resume_from,
         collect_checkpoint=collect_checkpoint,
         telemetry=telemetry,

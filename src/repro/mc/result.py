@@ -97,12 +97,6 @@ class VerificationResult:
         stats: exploration statistics.
         wildcard_encountered: whether any wildcard cut occurred.
         executed_holes: all holes resolved (non-wildcard) during the run.
-        failure_holes: holes relevant to the failure — for INVARIANT and
-            DEADLOCK, those executed on the minimal error path (plus, for
-            deadlocks, during firings attempted at the final state); for
-            COVERAGE, every hole executed in the run.  Only populated when
-            the explorer was asked to track hole paths; the refined pruning
-            mode uses it.
         unmet_coverage: names of coverage properties never satisfied.
         stored_pattern: the generalised failure pattern already computed
             for this run — either replayed from the verdict store or
@@ -110,6 +104,10 @@ class VerificationResult:
             precomputed" (compute as usual); a tuple (possibly empty)
             short-circuits pattern generalisation so store hits never
             re-run counterexample replay.
+        fingerprint: the visited-state fingerprint of a successful run,
+            computed once when the engine evaluates the candidate (or
+            replayed from the verdict store); ``None`` unless the engine
+            was asked for fingerprints.
     """
 
     verdict: Verdict
@@ -119,9 +117,9 @@ class VerificationResult:
     stats: RunStats = field(default_factory=RunStats)
     wildcard_encountered: bool = False
     executed_holes: FrozenSet[Any] = frozenset()
-    failure_holes: Optional[FrozenSet[Any]] = None
     unmet_coverage: Tuple[str, ...] = ()
     stored_pattern: Optional[Tuple[Tuple[int, int], ...]] = None
+    fingerprint: Optional[int] = None
 
     @property
     def is_success(self) -> bool:

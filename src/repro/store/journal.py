@@ -34,8 +34,13 @@ class VerdictJournal:
 
     # ------------------------------------------------------------------ write
 
-    def append(self, record: dict) -> int:
-        """Append one record; returns the journal size after the append."""
+    def append(self, record: dict) -> Tuple[int, int]:
+        """Append one record; returns its ``(start, end)`` byte offsets.
+
+        ``start`` is past any newline the torn-tail repair wrote first, so
+        a caller that knows the journal ended at ``start`` before this
+        append knows nothing else landed in between.
+        """
 
         if self._handle is None:
             raise ValueError("journal is closed")
@@ -45,10 +50,10 @@ class VerdictJournal:
         self._lock(handle)
         try:
             self._repair_torn_tail(handle)
-            handle.seek(0, os.SEEK_END)
+            start = handle.seek(0, os.SEEK_END)
             handle.write(data)
             handle.flush()
-            return handle.tell()
+            return start, handle.tell()
         finally:
             self._unlock(handle)
 

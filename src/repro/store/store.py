@@ -16,7 +16,7 @@ Keys are content hashes over three components:
   share verdicts even under the same name.
 * **flags signature** — every configuration knob that can change a
   *verdict or its stored side effects* (pruning, default action index,
-  explorer, conflict generalisation, refined patterns, packed kernel).
+  explorer, conflict generalisation, packed kernel).
   Knobs that only change performance or reporting (prefix reuse, trace
   recording, telemetry) are excluded so runs can share verdicts across
   them.
@@ -101,7 +101,6 @@ def flags_signature(config: Any) -> str:
         "default_action_index": int(getattr(config, "default_action_index", 0)),
         "explorer": str(getattr(config, "explorer", "bfs")),
         "generalise": bool(getattr(config, "generalise_active", False)),
-        "refined_patterns": bool(getattr(config, "refined_patterns", False)),
         "packed": bool(getattr(config, "packed", True)),
     }
     return _digest(payload)
@@ -242,8 +241,8 @@ class VerdictStore:
 
     def __len__(self) -> int:
         with self._mutex:
-            if self.journal.size() > self._applied_size:
-                self._catch_up()
+            # The projection lags this handle's own records (see record).
+            self._catch_up()
             return self.projection.count()
 
     # ------------------------------------------------------------------ write
@@ -259,8 +258,15 @@ class VerdictStore:
         record = {"key": key}
         record.update(run.to_record())
         with self._mutex:
-            self.journal.append(record)
+            start, end = self.journal.append(record)
             self._recent[key] = run
+            # Our own record is served from _recent, so projecting it now
+            # would cost a SQLite transaction per record for nothing.  Skip
+            # past it only when nothing else landed first (another writer's
+            # record, or a torn-tail repair); otherwise the next lookup
+            # sees the gap and catches up.  close() projects everything.
+            if start == self._applied_size:
+                self._applied_size = end
 
     # ---------------------------------------------------------------- cleanup
 

@@ -130,20 +130,6 @@ class TestNaiveMatchMode:
         ]
 
 
-class TestRefinedPatterns:
-    def test_refined_patterns_constrain_fewer_positions(self):
-        report = SynthesisEngine(
-            build_figure2_skeleton(), SynthesisConfig(refined_patterns=True)
-        ).run()
-        assert len(report.solutions) == 1
-        # Run 6 (<1@B, 2@B>) fails at s2 without the hole-1 choice being part
-        # of the error *trace*... it is on the path (s0 -> s2), so refined
-        # patterns still include it; but run 9's failure path executes all
-        # assigned holes. Refined must never evaluate MORE than full-vector.
-        full = SynthesisEngine(build_figure2_skeleton()).run()
-        assert report.evaluated <= full.evaluated
-
-
 class TestParallelEngine:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_same_solutions_any_thread_count(self, threads):

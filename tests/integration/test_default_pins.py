@@ -116,6 +116,7 @@ SYNTH_PINS = {
     "msi-tiny": (25, 0, 0, 2, 18, 3, 3, "2409dbfb573fb0e2"),
     "msi-read-tiny": (25, 0, 0, 2, 20, 1, 1, "0916a25ceceead02"),
     "msi-small": (4249, 273912, 0, 6, 3183, 126, 126, "485851b6c4d7c039"),
+    "msi-evict": (184, 52889, 80, 4, 133, 14, 14, "bac823ceb5a7ae2f"),
     "mesi": (28, 0, 0, 2, 23, 1, 1, "96238fcad6cfdff4"),
     "moesi-small": (56, 0, 0, 2, 49, 1, 1, "34f855d077240a74"),
     "german-small": (22, 0, 0, 2, 17, 1, 1, "dea248c5d446dc7a"),
@@ -137,6 +138,12 @@ UNPRUNED_PINS = {
     "figure2": (24, 0, 0, 3, 0, 0, 1, "7ae69f54b5bae605"),
     "vi": (108, 0, 0, 2, 0, 0, 2, "19fca2e64f5e4a20"),
     "msi-tiny": (21, 0, 0, 1, 0, 0, 3, "2409dbfb573fb0e2"),
+}
+
+#: skeleton -> economy() of a run with conflict generalisation off, for
+#: the one skeleton whose counts it changes (the solutions stay the same)
+GENERALISE_OFF_PINS = {
+    "msi-evict": (1473, 51600, 80, 4, 1422, 14, 14, "bac823ceb5a7ae2f"),
 }
 
 #: skeleton -> (solutions, solution_digest(fingerprints=True))
@@ -180,6 +187,14 @@ def test_synthesis_toggles_pinned(name, flag):
     ).run()
     pins = UNPRUNED_PINS if flag == "pruning-off" else SYNTH_PINS
     assert economy(report) == pins[name]
+
+
+@pytest.mark.parametrize("name", list(GENERALISE_OFF_PINS))
+def test_generalise_off_pinned(name):
+    report = SynthesisEngine(
+        build_skeleton(name), SynthesisConfig(generalise_conflicts=False)
+    ).run()
+    assert economy(report) == GENERALISE_OFF_PINS[name]
 
 
 @pytest.mark.parametrize("name", list(FINGERPRINT_PINS))

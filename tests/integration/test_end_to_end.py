@@ -47,24 +47,6 @@ class TestEnginesAgree:
         assert naive.evaluated == naive.naive_candidate_space
 
 
-class TestRefinedPruning:
-    def test_refined_never_loses_solutions(self):
-        base = SynthesisEngine(msi_tiny(n_caches=2).system).run()
-        refined = SynthesisEngine(
-            msi_tiny(n_caches=2).system, SynthesisConfig(refined_patterns=True)
-        ).run()
-        assert {s.digits for s in refined.solutions} == {
-            s.digits for s in base.solutions
-        }
-
-    def test_refined_evaluates_no_more(self):
-        base = SynthesisEngine(msi_tiny(n_caches=2).system).run()
-        refined = SynthesisEngine(
-            msi_tiny(n_caches=2).system, SynthesisConfig(refined_patterns=True)
-        ).run()
-        assert refined.evaluated <= base.evaluated
-
-
 class TestLimitsIntegration:
     def test_exploration_limits_keep_soundness(self):
         # Harsh per-run state caps may make runs UNKNOWN but never lose or

@@ -5,7 +5,6 @@ from repro.core.action import Action
 from repro.core.hole import Hole
 from repro.mc.bfs import BfsExplorer, ExplorationLimits
 from repro.mc.context import FixedResolver
-from repro.mc.graph import StateGraph
 from repro.mc.properties import CoverageProperty, DeadlockPolicy, Invariant
 from repro.mc.result import FailureKind, Verdict
 from repro.mc.rule import Rule
@@ -212,10 +211,3 @@ class TestLimitsAndCanonicalisation:
         result = BfsExplorer(system).run()
         assert result.verdict is Verdict.SUCCESS
         assert result.stats.states_visited == 5  # 0..4 instead of -4..4
-
-    def test_graph_capture(self):
-        graph = StateGraph()
-        BfsExplorer(counter_system(limit=3), capture_graph=graph).run()
-        assert graph.num_states == 4
-        assert (3, 3, "stay") in graph.edges
-        assert "digraph" in graph.to_dot()

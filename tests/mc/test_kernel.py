@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ModelError
 from repro.mc.bfs import BfsExplorer
 from repro.mc.dfs import DfsExplorer
-from repro.mc.graph import StateGraph
 from repro.mc.kernel import (
     EXPLORER_STRATEGIES,
     ExplorationKernel,
@@ -14,7 +13,6 @@ from repro.mc.kernel import (
     LifoFrontier,
     make_explorer,
 )
-from repro.mc.properties import Invariant
 from repro.mc.result import Verdict
 from repro.mc.rule import Rule
 from repro.mc.system import TransitionSystem
@@ -119,44 +117,6 @@ class TestTruncationParity:
         assert dfs.stats.states_visited <= max_states + 2
 
 
-class TestDfsGainsKernelFeatures:
-    """DFS inherited graph capture and hole-path tracking from the kernel."""
-
-    def test_dfs_graph_capture(self):
-        graph = StateGraph()
-        DfsExplorer(counter_system(limit=3), capture_graph=graph).run()
-        assert graph.num_states == 4
-        assert (3, 3, "stay") in graph.edges
-
-    def test_dfs_track_hole_paths_on_failure(self):
-        from repro.core.action import Action
-        from repro.core.hole import Hole
-        from repro.mc.context import FixedResolver
-
-        hole = Hole("h", [Action("go")])
-
-        def apply(s, ctx):
-            ctx.resolve(hole)
-            return [s + 1]
-
-        system = TransitionSystem(
-            name="holed",
-            initial_states=[0],
-            rules=[
-                Rule("step", guard=lambda s: s < 3, apply=apply),
-                Rule("stay", guard=lambda s: s >= 3, apply=lambda s, ctx: [s]),
-            ],
-            invariants=[Invariant("lt2", lambda s: s < 2)],
-        )
-        result = DfsExplorer(
-            system,
-            resolver=FixedResolver({hole: hole.domain[0]}),
-            track_hole_paths=True,
-        ).run()
-        assert result.is_failure
-        assert result.failure_holes == frozenset({hole})
-
-
 class TestStatsParity:
     def test_full_exploration_stats_match(self):
         bfs = BfsExplorer(branching_system()).run()
@@ -239,17 +199,6 @@ class TestCheckpointResume:
         result = explorer.run()
         assert result.stats.truncated
         assert explorer.checkpoint is None
-
-    def test_hole_path_mismatch_rejected(self):
-        system, prefix_res, full_res = self._setup((1,), (1, 0))
-        checkpoint = self._prefix_checkpoint(system, prefix_res)
-        with pytest.raises(ModelError):
-            ExplorationKernel(
-                system,
-                resolver=full_res,
-                resume_from=checkpoint,
-                track_hole_paths=True,
-            )
 
     def test_exhaustive_prefix_resumes_to_immediate_verdict(self):
         # A prefix that never hits a wildcard explores the full space; the

@@ -10,9 +10,10 @@ import pytest
 
 from repro import api
 from repro.core import SynthesisConfig, SynthesisEngine
+from repro.core.engine import SynthesisObserver
 from repro.core.parallel import ParallelSynthesisEngine
 from repro.dist import DistributedSynthesisEngine, SystemSpec
-from repro.mc.kernel import ExplorationLimits
+from repro.mc.kernel import ExplorationKernel, ExplorationLimits
 from repro.protocols.catalog import build_skeleton
 
 
@@ -63,6 +64,33 @@ class TestWarmEqualsCold:
         # stored); failures replay fine.
         assert 0 < warm.store_hits < warm.evaluated
         assert solution_view(warm) == solution_view(baseline)
+
+    def test_stored_fingerprints_stay_off_when_not_wanted(self, tmp_path):
+        run_sequential(str(tmp_path), compute_fingerprints=True)
+        warm = run_sequential(str(tmp_path))
+        assert warm.model_checks == 0
+        assert solution_view(warm) == solution_view(run_sequential())
+        assert all(s.fingerprint is None for s in warm.solutions)
+
+    def test_each_solution_is_fingerprinted_once(self, tmp_path, monkeypatch):
+        """Recording a success to the store and reporting it as a solution
+        share one fingerprint computation."""
+        calls = []
+        original = ExplorationKernel.fingerprint_visited
+
+        def counted(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(ExplorationKernel, "fingerprint_visited", counted)
+        report = SynthesisEngine(
+            build_skeleton("msi-tiny"),
+            SynthesisConfig(store_path=str(tmp_path), compute_fingerprints=True),
+        ).run()
+        assert report.store_writes == report.evaluated
+        assert len(report.solutions) == 3
+        assert len(calls) == 3
+        assert all(s.fingerprint is not None for s in report.solutions)
 
 
 class TestStandDown:
@@ -128,6 +156,36 @@ class TestCrossBackend:
         ).run()
         assert warm.model_checks == 0
         assert solution_view(warm) == solution_view(cold)
+
+
+class _FailOnSolution(SynthesisObserver):
+    def on_solution(self, solution, holes):
+        raise RuntimeError("observer failed")
+
+
+@pytest.mark.parametrize("backend", ["sequential", "threads", "processes"])
+def test_store_is_closed_when_the_run_raises(tmp_path, backend):
+    config = SynthesisConfig(store_path=str(tmp_path))
+    if backend == "sequential":
+        engine = SynthesisEngine(
+            build_skeleton("msi-tiny"), config, observer=_FailOnSolution()
+        )
+    elif backend == "threads":
+        engine = ParallelSynthesisEngine(
+            build_skeleton("msi-tiny"), config, threads=2,
+            observer=_FailOnSolution(),
+        )
+    else:
+        engine = DistributedSynthesisEngine(
+            SystemSpec("msi-tiny"), config, workers=2,
+            observer=_FailOnSolution(),
+        )
+    store = engine.core.store
+    assert store is not None
+    with pytest.raises(RuntimeError, match="observer failed"):
+        engine.run()
+    assert engine.core.store is None
+    assert store.journal._handle is None
 
 
 class TestApiFacade:

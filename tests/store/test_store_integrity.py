@@ -22,8 +22,9 @@ from repro.store import (
     open_store,
     system_signature,
 )
+from repro.store.projection import SqliteProjection
 from repro.store.store import JOURNAL_NAME, PROJECTION_NAME
-from repro.core import SynthesisConfig
+from repro.core import SynthesisConfig, SynthesisEngine
 from repro.protocols.catalog import build_skeleton
 
 SYS = "a" * 64
@@ -37,7 +38,7 @@ def stored(verdict="success", **kwargs):
 class TestJournal:
     def test_append_replay_roundtrip(self, tmp_path):
         journal = VerdictJournal(str(tmp_path / "j.jsonl"))
-        offset = journal.append({"key": "k1", "verdict": "success"})
+        _start, offset = journal.append({"key": "k1", "verdict": "success"})
         journal.append({"key": "k2", "verdict": "failure"})
         records = list(journal.replay())
         assert [r["key"] for _, r in records] == ["k1", "k2"]
@@ -61,6 +62,20 @@ class TestJournal:
         # garbage to one skippable line; the new record is intact.
         journal.append({"key": "k3"})
         assert [r["key"] for _, r in journal.replay()] == ["k1", "k3"]
+        journal.close()
+
+    def test_append_reports_its_own_start_past_a_repair(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = VerdictJournal(str(path))
+        start, end = journal.append({"key": "k1"})
+        assert (start, end) == (0, journal.size())
+        with open(path, "ab") as handle:
+            handle.write(b'{"key": "k2", "verd')
+        torn_size = journal.size()
+        # The repair's newline comes first, so the record starts after it.
+        start, end = journal.append({"key": "k3"})
+        assert start == torn_size + 1
+        assert end == journal.size()
         journal.close()
 
     def test_unparseable_complete_lines_are_skipped(self, tmp_path):
@@ -111,6 +126,51 @@ class TestProjectionRecovery:
         hit = store.lookup(SYS, FLAGS, (("h", 1),))
         assert hit is not None and hit.verdict == "failure"
         store.close()
+
+
+class TestOwnAppends:
+    """A handle serves its own records from memory instead of projecting
+    each one into SQLite as it goes."""
+
+    def test_cold_run_projects_at_open_and_close_only(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        original = SqliteProjection.catch_up
+
+        def counted(self, journal):
+            calls.append(1)
+            return original(self, journal)
+
+        monkeypatch.setattr(SqliteProjection, "catch_up", counted)
+        report = SynthesisEngine(
+            build_skeleton("msi-tiny"),
+            SynthesisConfig(store_path=str(tmp_path)),
+        ).run()
+        assert report.store_writes == report.evaluated == 25
+        assert len(calls) <= 2
+
+    def test_foreign_record_between_own_records_is_seen(self, tmp_path):
+        a = VerdictStore(str(tmp_path))
+        b = VerdictStore(str(tmp_path))
+        a.record(SYS, FLAGS, (("h", 0),), stored("success"))
+        b.record(SYS, FLAGS, (("h", 1),), stored("failure"))
+        a.record(SYS, FLAGS, (("h", 2),), stored("unknown"))
+        assert a.lookup(SYS, FLAGS, (("h", 1),)).verdict == "failure"
+        assert a.lookup(SYS, FLAGS, (("h", 0),)).verdict == "success"
+        assert a.lookup(SYS, FLAGS, (("h", 2),)).verdict == "unknown"
+        assert b.lookup(SYS, FLAGS, (("h", 2),)).verdict == "unknown"
+        a.close()
+        b.close()
+
+    def test_len_counts_own_records(self, tmp_path):
+        store = VerdictStore(str(tmp_path))
+        for digit in range(3):
+            store.record(SYS, FLAGS, (("h", digit),), stored())
+        assert len(store) == 3
+        store.close()
+        with VerdictStore(str(tmp_path)) as reopened:
+            assert len(reopened) == 3
 
 
 class TestKeys:

@@ -76,14 +76,7 @@ class TestConflictingFlags:
     def test_dfs_with_matching_explorer_is_fine(self, capsys):
         assert main(["verify", "vi", "--dfs", "--explorer", "dfs"]) == 0
 
-    def test_naive_contradicts_refined(self, capsys):
-        run_expect_usage_error(
-            capsys,
-            ["synth", "figure2", "--naive", "--refined"],
-            "conflicting flags",
-        )
-
-    @pytest.mark.parametrize("flag", ["--por", "--family"])
+    @pytest.mark.parametrize("flag", ["--por", "--family", "--refined"])
     def test_removed_acceleration_flags_are_unrecognised(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["synth", "msi-tiny", flag])
